@@ -26,17 +26,17 @@ __all__ = [
 ]
 
 
-def validate_terms(slot_terms, values: Mapping[str, float]) -> None:
+def validate_terms(terms, values: Mapping[str, float]) -> None:
     """Strict per-term rate check, shared with :meth:`CompiledCTMC.validate`.
 
-    Raises exactly what :meth:`CompiledCTMC.fill` would raise, in the
-    same order: ``KeyError`` when a term reads an unsupplied parameter,
+    Walks a chain's interned terms and raises exactly what
+    :meth:`CompiledCTMC.fill` would raise, in the same order:
+    ``KeyError`` when a term reads an unsupplied parameter,
     :class:`~repro.exceptions.DistributionError` when a rate is not
     positive and finite.
     """
-    for _, _, terms in slot_terms:
-        for term in terms:
-            check_rate(term(values))
+    for term in terms:
+        check_rate(term(values))
 
 
 def term_parameters(term) -> Tuple[str, ...]:
@@ -76,41 +76,43 @@ def lint_compiled_ctmc(
         return diagnostics
     clean = True
     reported_missing = set()
-    for i, j, terms in compiled._slot_terms:
+    for i, j, k in zip(
+        compiled._rows.tolist(), compiled._cols.tolist(), compiled._term_ids.tolist()
+    ):
+        term = compiled._terms[k]
         location = (
             f"transition {compiled.states[i]!r} -> {compiled.states[j]!r}"
         )
-        for term in terms:
-            missing = [
-                name
-                for name in term_parameters(term)
-                if name not in values and name not in reported_missing
-            ]
-            for name in missing:
-                reported_missing.add(name)
-                diagnostics.append(
-                    Diagnostic(
-                        "C001",
-                        f"rate term of {location} reads parameter {name!r}, "
-                        f"which the supplied values do not define",
-                        location=location,
-                    )
+        missing = [
+            name
+            for name in term_parameters(term)
+            if name not in values and name not in reported_missing
+        ]
+        for name in missing:
+            reported_missing.add(name)
+            diagnostics.append(
+                Diagnostic(
+                    "C001",
+                    f"rate term of {location} reads parameter {name!r}, "
+                    f"which the supplied values do not define",
+                    location=location,
                 )
-            if any(name not in values for name in term_parameters(term)):
-                clean = False
-                continue
-            try:
-                check_rate(term(values))
-            except DistributionError as exc:
-                clean = False
-                diagnostics.append(
-                    Diagnostic(
-                        "C002",
-                        f"rate term of {location} evaluates to an invalid "
-                        f"rate: {exc}",
-                        location=location,
-                    )
+            )
+        if any(name not in values for name in term_parameters(term)):
+            clean = False
+            continue
+        try:
+            check_rate(term(values))
+        except DistributionError as exc:
+            clean = False
+            diagnostics.append(
+                Diagnostic(
+                    "C002",
+                    f"rate term of {location} evaluates to an invalid "
+                    f"rate: {exc}",
+                    location=location,
                 )
+            )
     if clean:
         from .markov import lint_generator
 
@@ -165,7 +167,7 @@ def lint_compiled_evaluator(
         # defaults for the rest — so a chain parameter is only
         # "unsupplied" (C001) when *neither* the assignment nor the
         # evaluator's accepted parameter set can ever provide it.
-        orphaned = [name for name in chain.parameters() if name not in known]
+        orphaned = [name for name in chain._param_names if name not in known]
         for name in orphaned:
             diagnostics.append(
                 Diagnostic(
@@ -177,7 +179,7 @@ def lint_compiled_evaluator(
             )
         # Value-level checks need a complete point; a partial assignment
         # cannot distinguish "bad value" from "default not yet applied".
-        if values is not None and not orphaned and set(chain.parameters()) <= set(values):
+        if values is not None and not orphaned and set(chain._param_names) <= set(values):
             for diag in lint_compiled_ctmc(chain, values=values, query=query):
                 diagnostics.append(
                     Diagnostic(

@@ -3,13 +3,16 @@
 Separates **symbolic structure** (built once) from **numeric fill**
 (per sweep point):
 
-* :class:`CompiledCTMC` — frozen state order + sparsity pattern,
-  ``fill``-into-preallocated-buffers, pattern-reusing solves;
-* :class:`CompiledSparseCTMC` — the large-state-space counterpart:
-  frozen CSR ``indices``/``indptr`` from one lazy-reachability BFS,
-  rate-only refills, preconditioner reuse and warm-started Krylov
-  sweeps (:func:`continuation_order` orders campaigns so neighbors
-  stay close in parameter space);
+* :class:`CompiledCTMC` — the one frozen-structure, symbolic-rate
+  chain: frozen state order and CSR pattern from ``(i, j, term,
+  multiplier)`` triplets, ``fill`` into a preallocated data buffer, and
+  a steady-state kernel chosen by state count (GTH up to 2 000 states,
+  the ``solve_steady_state`` front door above);
+* :class:`CompiledSparseCTMC` — the :class:`CompiledCTMC` that one
+  lazy-reachability BFS builds, plus an up mask, build-value defaults,
+  the engine evaluator protocol and warm-started Krylov ``sweep``
+  (:func:`continuation_order` orders campaigns so neighbors stay close
+  in parameter space);
 * :class:`CompiledStructureFunction` — RBD/fault-tree structure
   lowered once, all sweep points evaluated in one vectorized pass;
 * :func:`compile_model` / :func:`supports_compilation` — turn case

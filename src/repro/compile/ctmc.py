@@ -1,32 +1,34 @@
-"""Compiled CTMC kernels: freeze structure once, fill and solve per point.
+"""Compiled CTMC: freeze structure once, fill and solve per point.
 
 A parameter sweep over a CTMC model re-solves the *same* chain topology
 at every point — only the numeric rates change.  The uncompiled path
 rebuilds everything per point: label→index maps, the rate dictionary,
 the COO triplets, the CSR generator, and (for reliability measures) a
 second absorbing chain.  :class:`CompiledCTMC` hoists all of that out of
-the loop:
+the loop, for hand-written chains and for chains built by lazy
+reachability alike:
 
-* the **state ordering** and the **sparsity pattern** (COO row/column
-  index arrays, one slot per distinct transition) are frozen at compile
-  time;
-* :meth:`fill` evaluates the symbolic rate terms into a preallocated
-  dense buffer (one per thread) — per-point cost is "evaluate the terms
-  and write ``nnz`` cells", not "rebuild the model";
-* :meth:`steady_state` feeds the filled buffer straight to the GTH
-  kernel with ``validated=True`` (the fill itself enforces positive
-  finite rates, exactly like :meth:`repro.markov.CTMC.add_transition`);
-  the sparse-direct method reuses a precomputed CSC pattern so each
-  solve only writes a data vector;
-* :meth:`transient` assembles the CSR generator from the frozen pattern
-  and delegates to :func:`~repro.markov.solvers.solve_transient`, whose
-  Poisson truncation points are memoized on ``(λt, tol)`` — nearby
-  points with identical rates share the truncation machinery.
+* the **state ordering** and the **CSR pattern** (one slot per distinct
+  transition plus the diagonal) are frozen at compile time, together
+  with one interned symbolic :class:`RateTerm` per distinct rate
+  expression and a multiplier per transition;
+* :meth:`fill` evaluates each distinct term once and writes the frozen
+  CSR ``data`` buffer (one per thread) — per-point cost is "evaluate the
+  terms and write ``nnz`` cells", not "rebuild the model";
+* :meth:`steady_state` chooses its kernel by state count alone: GTH on
+  the filled buffer up to :attr:`~CompiledCTMC.DENSE_LIMIT` states, the
+  :func:`~repro.markov.fallback.solve_steady_state` front door above it
+  (warm-started from a reference solution above
+  :attr:`~CompiledCTMC.ITERATIVE_LIMIT`);
+* :meth:`transient` delegates the filled generator to
+  :func:`~repro.markov.solvers.solve_transient`, whose Poisson
+  truncation points are memoized on ``(λt, tol)``.
 
 Results are **bit-identical** to building the equivalent
 :class:`~repro.markov.CTMC` and solving it: the fill accumulates
-duplicate transitions and the diagonal in the same floating-point order
-as ``CTMC.add_transition`` + ``CTMC.generator()``.
+duplicate transitions in insertion order and the diagonal over slots in
+first-insertion order, exactly like ``CTMC.add_transition`` +
+``CTMC.generator()``.
 
 Rates are expressed as picklable :class:`RateTerm` objects over a
 parameter mapping (:class:`Const`, :class:`Param`, :class:`Scaled`,
@@ -39,15 +41,20 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from .._validation import check_rate
-from ..exceptions import ModelDefinitionError, SolverError
-from ..markov.solvers import gth_solve, solve_transient, steady_state_direct, steady_state_power
+from ..exceptions import ModelDefinitionError
+from ..markov.fallback import (
+    DENSE_LIMIT,
+    generator_diagnostics,
+    require_irreducible,
+    solve_steady_state,
+)
+from ..markov.solvers import gth_solve, solve_transient
 from ..obs.trace import get_tracer
 
 __all__ = [
@@ -139,12 +146,16 @@ class CompiledCTMC:
     ----------
     states:
         State labels in index order (the order ``CTMC.add_state`` would
-        assign while replaying the transitions).
+        assign while replaying the transitions).  A ``range`` labels the
+        states by index without building a label map.
     transitions:
-        ``(source_index, target_index, term)`` triples in the order the
-        uncompiled constructor adds them.  Duplicate ``(i, j)`` pairs
-        accumulate in insertion order, exactly like repeated
-        ``add_transition`` calls.
+        ``(source_index, target_index, term)`` or
+        ``(source_index, target_index, term, multiplier)`` tuples in the
+        order the uncompiled constructor adds them.  A transition's rate
+        at a point is ``term(values) * multiplier`` (the multiplier
+        defaults to 1.0; lazy reachability records vanishing-resolution
+        probabilities there).  Duplicate ``(i, j)`` pairs accumulate in
+        insertion order, exactly like repeated ``add_transition`` calls.
 
     Examples
     --------
@@ -156,53 +167,92 @@ class CompiledCTMC:
     0.99980396
     """
 
+    #: GTH on the filled buffer up to this many states — the default
+    #: ``dense_limit`` of :func:`~repro.markov.fallback.solve_steady_state`.
+    DENSE_LIMIT = DENSE_LIMIT
+
+    #: Above this many states the front door goes iterative and solves
+    #: warm-start from :meth:`_reference` — same threshold as
+    #: :attr:`repro.sparse.SparseCTMC.ITERATIVE_LIMIT`.
+    ITERATIVE_LIMIT = 5_000
+
+    _MEMO_LIMIT = 1024
+
     def __init__(
         self,
         states: Sequence[State],
-        transitions: Sequence[Tuple[int, int, RateTerm]],
+        transitions: Sequence[Tuple],
     ):
-        self.states: Tuple[State, ...] = tuple(states)
-        self.n = len(self.states)
-        if self.n == 0:
+        self.states = states if isinstance(states, range) else tuple(states)
+        self.n = n = len(self.states)
+        if n == 0:
             raise ModelDefinitionError("chain has no states")
-        self._index: Dict[State, int] = {s: i for i, s in enumerate(self.states)}
-        if len(self._index) != self.n:
-            raise ModelDefinitionError("duplicate state labels")
-        # Group terms by (i, j) in first-insertion order — one COO slot
-        # per distinct pair, matching the CTMC rate-dict accumulation.
-        slots: Dict[Tuple[int, int], List[RateTerm]] = {}
-        for i, j, term in transitions:
-            i, j = int(i), int(j)
+        self._index: Optional[Dict[State, int]] = None
+        if not isinstance(self.states, range):
+            self._index = {s: i for i, s in enumerate(self.states)}
+            if len(self._index) != n:
+                raise ModelDefinitionError("duplicate state labels")
+        interned: Dict[RateTerm, int] = {}
+        rows, cols, term_ids, mult = [], [], [], []
+        for t in transitions:
+            rows.append(t[0])
+            cols.append(t[1])
+            term_ids.append(interned.setdefault(t[2], len(interned)))
+            mult.append(t[3] if len(t) > 3 else 1.0)
+        self._terms: Tuple[RateTerm, ...] = tuple(interned)
+        self._rows = np.array(rows, dtype=np.int64)
+        self._cols = np.array(cols, dtype=np.int64)
+        self._term_ids = np.array(term_ids, dtype=np.int64)
+        self._mult = np.array(mult, dtype=np.float64)
+        bad = (self._rows == self._cols) | (np.minimum(self._rows, self._cols) < 0)
+        bad |= np.maximum(self._rows, self._cols) >= n
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = int(self._rows[k]), int(self._cols[k])
             if i == j:
                 raise ModelDefinitionError("self-loops are meaningless in a CTMC")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ModelDefinitionError(
-                    f"transition ({i}, {j}) outside the {self.n}-state space"
-                )
-            slots.setdefault((i, j), []).append(term)
-        self._slot_terms: Tuple[Tuple[int, int, Tuple[RateTerm, ...]], ...] = tuple(
-            (i, j, tuple(terms)) for (i, j), terms in slots.items()
+            raise ModelDefinitionError(f"transition ({i}, {j}) outside the {n}-state space")
+
+        # Slots: distinct (i, j) pairs in first-insertion order, then the
+        # diagonal — the COO layout CTMC.generator() emits.  A probe
+        # matrix whose data encode the slot number yields the CSR
+        # pattern scipy builds from that layout and each slot's position
+        # in it.
+        key = self._rows * n + self._cols
+        distinct, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        slot_keys = np.concatenate([distinct[order], np.arange(n, dtype=np.int64) * (n + 1)])
+        probe = sparse.csr_matrix(
+            (np.arange(1.0, slot_keys.size + 1.0), (slot_keys // n, slot_keys % n)),
+            shape=(n, n),
         )
-        nnz = len(self._slot_terms)
-        # Frozen COO pattern: transition slots first, diagonal last —
-        # the exact layout CTMC.generator() emits.
-        rows = np.empty(nnz + self.n, dtype=np.int64)
-        cols = np.empty(nnz + self.n, dtype=np.int64)
-        for k, (i, j, _) in enumerate(self._slot_terms):
-            rows[k] = i
-            cols[k] = j
-        rows[nnz:] = np.arange(self.n)
-        cols[nnz:] = np.arange(self.n)
-        self._coo_rows = rows
-        self._coo_cols = cols
-        self._nnz = nnz
-        # Lazily-built CSC pattern for the sparse-direct method.
-        self._direct_pattern: Optional[Tuple[np.ndarray, ...]] = None
+        self._indices = probe.indices
+        self._indptr = probe.indptr
+        position = np.empty(slot_keys.size, dtype=np.int64)
+        position[probe.data.astype(np.int64) - 1] = np.arange(slot_keys.size)
+        self._slot_pos = position[: distinct.size]
+        self._slot_rows = distinct[order] // n
+        self._diag_pos = position[distinct.size :]
+        self._trip_pos = self._slot_pos[rank[inverse]]
+        self._has_duplicates = distinct.size < key.size
+
+        from ..analyze.compiled import term_parameters
+
+        names: Dict[str, None] = {}
+        for term in self._terms:
+            for name in term_parameters(term):
+                names.setdefault(name)
+        self._param_names: Tuple[str, ...] = tuple(names)
+        #: parameter point of the warm-start reference solve
+        self._build_values: Dict[str, float] = {}
+        self._irreducible = False
         self._local = threading.local()
-        self._param_names: Tuple[str, ...] = self.parameters()
-        # Stationary-vector memo keyed on (method, parameter values):
-        # in a sweep most leaf chains see the same rates at every point.
+        # Stationary-vector memo keyed on the parameter values: in a
+        # sweep most leaf chains see the same rates at every point.
         self._memo: Dict[Tuple, np.ndarray] = {}
+        self._ref_pi: Optional[np.ndarray] = None
 
     @classmethod
     def from_ctmc(cls, chain) -> "CompiledCTMC":
@@ -222,8 +272,9 @@ class CompiledCTMC:
     # ---------------------------------------------------------- pickling
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        state["_local"] = None  # thread-local buffers never cross processes
-        state["_memo"] = {}  # solves are cheap to redo; keep payloads small
+        # Thread-local buffers, the memo and the warm-start reference
+        # never cross processes; workers rebuild them deterministically.
+        state.update(_local=None, _memo={}, _ref_pi=None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -234,8 +285,10 @@ class CompiledCTMC:
     def index_of(self, state: State) -> int:
         """Index of a state label (frozen at compile time)."""
         try:
+            if self._index is None:
+                return self.states.index(state)
             return self._index[state]
-        except KeyError:
+        except (KeyError, ValueError):
             raise ModelDefinitionError(f"unknown state: {state!r}") from None
 
     @property
@@ -243,120 +296,140 @@ class CompiledCTMC:
         """Number of states."""
         return self.n
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the frozen CSR pattern (diagonal included)."""
+        return int(self._indices.size)
+
     def parameters(self) -> Tuple[str, ...]:
         """Parameter names the rate terms read, in first-use order."""
-        names: Dict[str, None] = {}
-
-        def walk(term: RateTerm) -> None:
-            if isinstance(term, (Param, Scaled)):
-                names.setdefault(term.name)
-            elif isinstance(term, Times):
-                walk(term.left)
-                walk(term.right)
-            elif isinstance(term, Complement):
-                walk(term.term)
-
-        for _, _, terms in self._slot_terms:
-            for term in terms:
-                walk(term)
-        return tuple(names)
+        return self._param_names
 
     # -------------------------------------------------------------- fill
     def _workspace(self) -> threading.local:
         ws = self._local
-        if getattr(ws, "dense", None) is None:
-            ws.dense = np.zeros((self.n, self.n))
-            ws.diag = np.zeros(self.n)
-            ws.vals = np.empty(self._nnz + self.n)
+        if getattr(ws, "data", None) is None:
+            ws.data = np.zeros(self._indices.size)
+            ws.tvals = np.empty(len(self._terms))
+            ws.trip = np.empty(self._term_ids.size)
         return ws
 
     def fill(self, values: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the rate terms into the preallocated dense generator.
+        """Evaluate the rate terms into the thread-local CSR data buffer.
 
-        Every term is validated with the same ``check_rate`` check (and
-        in the same order) as the equivalent ``add_transition`` calls,
-        so a bad parameter raises the identical
-        :class:`~repro.exceptions.DistributionError`.  Returns the
-        thread-local ``(n, n)`` buffer — copy it if you need to keep it
-        across calls.
+        Each distinct term is evaluated and ``check_rate``-validated once,
+        in first-use order, so a bad parameter raises the
+        :class:`~repro.exceptions.DistributionError` the first offending
+        ``add_transition`` call would raise.  Duplicate transitions
+        accumulate in insertion order and the diagonal accumulates
+        ``-Σ row`` over slots in first-insertion order — the float
+        operations of ``CTMC.add_transition`` + ``CTMC.generator()``.
+        Returns the buffer — shared per thread, copy it to keep it
+        across fills.
         """
         ws = self._workspace()
-        dense = ws.dense
-        diag = ws.diag
-        vals = ws.vals
-        dense[...] = 0.0
-        diag[...] = 0.0
-        for k, (i, j, terms) in enumerate(self._slot_terms):
-            rate = 0.0
-            for term in terms:
-                r = term(values)
-                check_rate(r)
-                rate = rate + float(r)
-            vals[k] = rate
-            diag[i] -= rate
-            dense[i, j] = rate
-        vals[self._nnz :] = diag
-        dense[np.arange(self.n), np.arange(self.n)] = diag
-        return dense
+        tvals = ws.tvals
+        for k, term in enumerate(self._terms):
+            rate = term(values)
+            check_rate(rate)
+            tvals[k] = float(rate)
+        trip = np.take(tvals, self._term_ids, out=ws.trip)
+        trip *= self._mult
+        data = ws.data
+        if self._has_duplicates:
+            data[...] = 0.0
+            np.add.at(data, self._trip_pos, trip)
+            rows, slot_values = self._slot_rows, data[self._slot_pos]
+        else:  # one transition per slot, already in slot order
+            data[self._trip_pos] = trip
+            rows, slot_values = self._rows, trip
+        diag = np.bincount(rows, weights=slot_values, minlength=self.n)
+        # 0 - Σ is the bits of the in-order subtraction, +0.0 on empty rows
+        data[self._diag_pos] = 0.0 - diag
+        return data
 
     def validate(self, values: Mapping[str, float]) -> None:
-        """Run the per-transition rate checks without touching buffers.
+        """Run the rate checks of :meth:`fill` without touching buffers.
 
-        Raises exactly what :meth:`fill` would raise, in the same order
-        — the cheap stand-in when a caller needs the error contract of a
-        model build but the solve itself will come from the memo.  The
-        walk lives in :func:`repro.analyze.compiled.validate_terms`, the
-        same scan the :func:`repro.analyze.analyze` lint reuses, so the
-        two accept/reject bit-identically by construction.
+        Raises exactly what :meth:`fill` would raise — the cheap stand-in
+        when a caller needs the error contract of a model build but the
+        solve itself will come from the memo.  The walk lives in
+        :func:`repro.analyze.compiled.validate_terms`, the same scan the
+        :func:`repro.analyze.analyze` lint reuses, so the two
+        accept/reject bit-identically by construction.
         """
         from ..analyze.compiled import validate_terms
 
-        validate_terms(self._slot_terms, values)
+        validate_terms(self._terms, values)
+
+    def _csr(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
     def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
-        """The filled generator as a CSR matrix (frozen pattern).
+        """The filled generator as CSR (frozen pattern).
 
-        Bit-identical to ``CTMC.generator()`` of the equivalent chain:
-        same COO layout, same duplicate accumulation, same diagonal
-        subtraction order.
+        Bit-identical to ``CTMC.generator()`` of the equivalent chain.
+        The matrix shares the compile-time ``indices``/``indptr`` —
+        refills can never perturb the pattern — and its ``data`` is the
+        thread-local fill buffer: copy it to keep it across fills.
         """
-        ws = self._workspace()
-        self.fill(values)
-        return sparse.csr_matrix(
-            (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-            shape=(self.n, self.n),
-            dtype=float,
-        )
+        return self._csr(self.fill(values))
 
     # ------------------------------------------------------------- solve
-    def steady_state(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
+    def _dense(self, data: np.ndarray) -> np.ndarray:
+        """Scatter filled data into the thread's dense GTH buffer."""
+        ws = self._local
+        if getattr(ws, "dense", None) is None:
+            row_of = np.repeat(np.arange(self.n), np.diff(self._indptr))
+            ws.flat = row_of * self.n + self._indices
+            ws.dense = np.zeros((self.n, self.n))
+        np.put(ws.dense, ws.flat, data)
+        return ws.dense
+
+    def _reference(self) -> Optional[np.ndarray]:
+        """The warm-start vector of solves above :attr:`ITERATIVE_LIMIT`.
+
+        Solved cold at the build values through the validated front
+        door, once per process.  Warm-starting every point from this
+        *same* deterministic vector (instead of chaining point to point)
+        keeps results independent of evaluation order — serial, thread
+        and process sweeps stay bit-identical.  ``None`` (cold starts)
+        when the build values do not cover every parameter.
+        """
+        if self._ref_pi is None and set(self._param_names) <= set(self._build_values):
+            self._ref_pi = solve_steady_state(
+                self.generator(self._build_values), iterative_limit=self.ITERATIVE_LIMIT
+            ).pi
+        return self._ref_pi
+
+    def steady_state(self, values: Mapping[str, float]) -> np.ndarray:
         """Stationary vector at one parameter point (index order).
 
-        ``method="gth"`` (default) runs GTH elimination on the filled
-        dense buffer; ``"direct"`` reuses the precomputed CSC pattern of
-        the normalized system across solves; ``"power"`` iterates on the
-        uniformized chain.  All three skip re-validation (the fill
-        enforces the generator invariants by construction) and return
-        the same bits as the uncompiled ``CTMC.steady_state``.
+        The kernel is chosen by state count alone.  Up to
+        :attr:`DENSE_LIMIT` states GTH runs on the filled buffer with
+        ``validated=True`` (the fill enforces positive finite rates) and
+        returns the same bits as the uncompiled ``CTMC.steady_state()``.
+        Above it the filled generator goes through
+        :func:`~repro.markov.fallback.solve_steady_state`, warm-started
+        from :meth:`_reference` above :attr:`ITERATIVE_LIMIT`.  The front
+        door's irreducibility check runs once per frozen structure, on
+        the first solve: every rate is positive, so it cannot change
+        between points.
         """
+        x0 = self._reference() if self.n > self.ITERATIVE_LIMIT else None
         tracer = get_tracer()
         t0 = perf_counter()
-        dense = self.fill(values)
+        data = self.fill(values)
         t1 = perf_counter()
-        if method == "gth":
-            pi = gth_solve(dense, validated=True)
-        elif method == "direct":
-            pi = self._steady_state_direct(dense)
-        elif method == "power":
-            ws = self._workspace()
-            q = sparse.csr_matrix(
-                (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-                shape=(self.n, self.n),
-                dtype=float,
-            )
-            pi = steady_state_power(q, validated=True)
+        if not self._irreducible:
+            require_irreducible(generator_diagnostics(self._csr(data)))
+            self._irreducible = True
+        if self.n <= self.DENSE_LIMIT:
+            pi = gth_solve(self._dense(data), validated=True)
         else:
-            raise SolverError(f"unknown steady-state method {method!r}")
+            pi = solve_steady_state(
+                self._csr(data), iterative_limit=self.ITERATIVE_LIMIT, x0=x0
+            ).pi
         if tracer.enabled:
             t2 = perf_counter()
             tracer.metrics.counter("compile.reuse", kind="ctmc").inc()
@@ -364,17 +437,15 @@ class CompiledCTMC:
             tracer.metrics.counter("compile.solve_seconds").inc(t2 - t1)
         return pi
 
-    _MEMO_LIMIT = 1024
-
-    def memo_key(self, values: Mapping[str, float], method: str = "gth") -> Tuple:
+    def memo_key(self, values: Mapping[str, float]) -> Tuple:
         """Memo key for one parameter point: the raw swept values."""
-        return (method,) + tuple(values[name] for name in self._param_names)
+        return tuple(values[name] for name in self._param_names)
 
-    def memoized(self, values: Mapping[str, float], method: str = "gth") -> bool:
+    def memoized(self, values: Mapping[str, float]) -> bool:
         """Whether :meth:`steady_state_cached` would be a memo hit."""
-        return self.memo_key(values, method) in self._memo
+        return self.memo_key(values) in self._memo
 
-    def steady_state_cached(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
+    def steady_state_cached(self, values: Mapping[str, float]) -> np.ndarray:
         """Memoized :meth:`steady_state` — treat the result as read-only.
 
         Sweeps usually vary a handful of parameters; every leaf chain
@@ -384,13 +455,15 @@ class CompiledCTMC:
         earlier solve produced (bit-identity is trivial).  Failures are
         never cached — a bad value misses the memo, and the fill inside
         :meth:`steady_state` raises exactly as the uncompiled build
-        would.  The returned array is shared with the memo: copy it
-        before mutating.
+        would.  Chains above :attr:`DENSE_LIMIT` states are never
+        memoized, so the memo holds no large vectors.
         """
-        key = self.memo_key(values, method)
+        if self.n > self.DENSE_LIMIT:
+            return self.steady_state(values)
+        key = self.memo_key(values)
         pi = self._memo.get(key)
         if pi is None:
-            pi = self.steady_state(values, method)
+            pi = self.steady_state(values)
             if len(self._memo) >= self._MEMO_LIMIT:
                 self._memo.clear()
             self._memo[key] = pi
@@ -399,56 +472,6 @@ class CompiledCTMC:
             if tracer.enabled:
                 tracer.metrics.counter("compile.reuse", kind="ctmc-memo").inc()
         return pi
-
-    def _ensure_direct_pattern(self) -> Tuple[np.ndarray, ...]:
-        """CSC pattern of ``[Q^T with last row ← 1]``, built once.
-
-        The pattern depends only on the frozen transition structure
-        (explicit zeros are preserved through the conversions), so a
-        single template conversion — the exact
-        ``transpose().tolil()`` route of
-        :func:`~repro.markov.solvers.steady_state_direct` — yields the
-        index arrays every subsequent solve writes its data into.
-        """
-        if self._direct_pattern is None:
-            ws = self._workspace()
-            q = sparse.csr_matrix(
-                (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-                shape=(self.n, self.n),
-                dtype=float,
-            )
-            a = q.transpose().tolil()
-            a[self.n - 1, :] = 1.0
-            template = sparse.csc_matrix(a)
-            indices = template.indices.copy()
-            indptr = template.indptr.copy()
-            # Position p in column c holds A[r, c] = Q[c, r] (or 1.0 in
-            # the normalization row r = n-1).
-            col_of = np.repeat(np.arange(self.n), np.diff(indptr))
-            is_norm = indices == self.n - 1
-            self._direct_pattern = (indices, indptr, col_of, is_norm)
-        return self._direct_pattern
-
-    def _steady_state_direct(self, dense: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return np.ones(1)
-        indices, indptr, col_of, is_norm = self._ensure_direct_pattern()
-        data = dense[col_of, indices]
-        data[is_norm] = 1.0
-        a = sparse.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
-        b = np.zeros(self.n)
-        b[self.n - 1] = 1.0
-        try:
-            pi = sparse_linalg.spsolve(a, b)
-        except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
-            raise SolverError(f"sparse direct solve failed: {exc}") from exc
-        if not np.all(np.isfinite(pi)):
-            raise SolverError("sparse direct solve produced non-finite probabilities")
-        pi = np.maximum(pi, 0.0)
-        total = pi.sum()
-        if total <= 0:
-            raise SolverError("sparse direct solve produced a zero vector")
-        return pi / total
 
     # --------------------------------------------------------- transient
     def initial_vector(self, initial) -> np.ndarray:
@@ -477,21 +500,18 @@ class CompiledCTMC:
     ) -> np.ndarray:
         """Transient probabilities ``(len(times), n)`` at one point.
 
-        Assembles the CSR generator from the frozen pattern and
-        delegates to :func:`~repro.markov.solvers.solve_transient`;
-        across nearby points with identical rates the Poisson truncation
-        points are served from the ``(λt, tol)`` memo instead of being
-        re-derived.
+        Delegates the filled generator to
+        :func:`~repro.markov.solvers.solve_transient`; across nearby
+        points with identical rates the Poisson truncation points are
+        served from the ``(λt, tol)`` memo instead of being re-derived.
         """
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         p0 = self.initial_vector(initial)
         q = self.generator(values)
         return solve_transient(q, p0, ts, method=method, tol=tol)
 
-    def steady_state_direct_reference(self, values: Mapping[str, float]) -> np.ndarray:
-        """Uncompiled-route direct solve (for verification): builds the
-        CSR generator and calls :func:`steady_state_direct` as-is."""
-        return steady_state_direct(self.generator(values), validated=True)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompiledCTMC(n_states={self.n}, n_transitions={self._nnz})"
+        return (
+            f"{type(self).__name__}(n_states={self.n}, nnz={self.nnz}, "
+            f"n_terms={len(self._terms)}, parameters={list(self._param_names)})"
+        )

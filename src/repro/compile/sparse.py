@@ -1,27 +1,23 @@
 """Compiled sparse sweeps: build the CSR once, fill rates per point.
 
-A parameter sweep over a large-state-space chain re-runs BFS
-reachability, re-interns every marking, re-factors the preconditioner
-and cold-starts the Krylov iteration at **every** point — even though
-the CSR structure is rate-independent.  :class:`CompiledSparseCTMC` is
-the large-state-space counterpart of :class:`~repro.compile.ctmc.CompiledCTMC`:
+A parameter sweep over a large-state-space chain would otherwise re-run
+BFS reachability, re-intern every marking and cold-start the solver at
+**every** point — even though the CSR structure is rate-independent.
+:class:`CompiledSparseCTMC` is the :class:`~repro.compile.ctmc.CompiledCTMC`
+that :func:`repro.sparse.build_sparse_reachability` builds with
+``rate_terms=``: the frozen pattern, interned terms, fill, generator,
+memo and size-chosen steady-state kernel are the base class's.  This
+subclass adds only what a lazily built model needs on top:
 
-* the CSR ``indices``/``indptr`` arrays are frozen at compile time
-  (byte-identical across every refill), together with one interned
-  symbolic :class:`~repro.compile.ctmc.RateTerm` per *distinct* rate
-  expression and a per-transition multiplier (the vanishing-resolution
-  probability);
-* :meth:`fill` evaluates the distinct terms once per point and scatters
-  ``term_value × multiplier`` into a preallocated thread-local ``data``
-  buffer — no re-BFS, no re-interning, O(nnz) work;
-* per-point solves reuse the previous point's solution as the Krylov
-  initial guess (``x0=`` warm start) and reuse the preconditioner
-  across points with an adaptive refresh policy: Jacobi is refreshed
-  in-place from the new diagonal, ILU is re-factored only when the
-  iteration count regresses past a threshold;
-* the normalized-augmented system ``A x = e_n`` is assembled per point
-  by one precomputed gather from the filled ``data`` buffer — no
-  transpose, no ``vstack``.
+* the up-state mask, for :meth:`~CompiledSparseCTMC.availability`;
+* the build values, merged under every point as defaults;
+* the engine evaluator protocol (``__call__`` rejects unknown
+  parameter names);
+* :meth:`~CompiledSparseCTMC.sweep`, the continuation fast path above
+  ``ITERATIVE_LIMIT``: each point's GMRES solve warm-starts from the
+  previous point's solution, on an augmented system assembled by one
+  gather from the filled ``data`` buffer, with a Jacobi preconditioner
+  refreshed in place from the new diagonal.
 
 :func:`continuation_order` reorders an arbitrary campaign so that
 consecutive points are nearest neighbors in (log-scaled, normalized)
@@ -33,20 +29,17 @@ R007 enforces it, exactly as for :mod:`repro.sparse`).
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .._validation import check_rate
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
-from ..markov.fallback import SolverReport, solve_steady_state
+from ..markov.fallback import solve_steady_state
 from ..markov.registry import consume_iterations
 from ..obs.trace import get_tracer
-from .ctmc import RateTerm
+from .ctmc import CompiledCTMC
 from .model import CompiledEvaluator
 
 __all__ = [
@@ -68,7 +61,6 @@ class SweepStats:
         "fallbacks",
         "precond_builds",
         "precond_reuses",
-        "precond_refactors",
         "iterations",
         "fill_seconds",
         "solve_seconds",
@@ -82,7 +74,6 @@ class SweepStats:
         self.fallbacks = 0
         self.precond_builds = 0
         self.precond_reuses = 0
-        self.precond_refactors = 0
         self.iterations: List[Optional[int]] = []
         self.fill_seconds = 0.0
         self.solve_seconds = 0.0
@@ -98,7 +89,6 @@ class SweepStats:
             "fallbacks": self.fallbacks,
             "precond_builds": self.precond_builds,
             "precond_reuses": self.precond_reuses,
-            "precond_refactors": self.precond_refactors,
             "mean_iterations": float(np.mean(known)) if known else None,
             "max_iterations": max(known) if known else None,
             "fill_seconds": self.fill_seconds,
@@ -108,13 +98,13 @@ class SweepStats:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SweepStats(points={self.points}, warm={self.warm_solves}, "
-            f"cold={self.cold_solves}, precond builds/reuses/refactors="
-            f"{self.precond_builds}/{self.precond_reuses}/{self.precond_refactors})"
+            f"cold={self.cold_solves}, precond builds/reuses="
+            f"{self.precond_builds}/{self.precond_reuses})"
         )
 
 
-class CompiledSparseCTMC(CompiledEvaluator):
-    """A sparse CTMC with frozen CSR structure and symbolic rates.
+class CompiledSparseCTMC(CompiledEvaluator, CompiledCTMC):
+    """A lazily built :class:`CompiledCTMC` that is also an engine evaluator.
 
     Built by :func:`repro.sparse.build_sparse_reachability` with
     ``rate_terms=`` (see :attr:`SparseReachabilityResult.compiled <repro.sparse.SparseReachabilityResult>`):
@@ -123,139 +113,35 @@ class CompiledSparseCTMC(CompiledEvaluator):
 
     Parameters
     ----------
-    n / indices / indptr:
-        The frozen CSR pattern (the exact arrays of the generator the
-        lazy builder produced — they are never copied or re-sorted, so
-        refills leave them byte-identical).
-    trip_rows / trip_cols:
-        The streamed off-diagonal triplet coordinates in BFS order
-        (rows nondecreasing), one entry per transition firing.
-    terms / term_ids / multipliers:
-        ``terms`` holds the distinct interned rate terms;
-        ``term_ids[k]`` selects the term of triplet ``k`` and
-        ``multipliers[k]`` its vanishing-resolution probability, so
-        the triplet's value at a point is
-        ``terms[term_ids[k]](values) * multipliers[k]`` — the same
-        float expression the BFS computed as ``rate * prob``.
-    up / initial:
-        Optional up-state mask (enables :meth:`availability`) and
-        initial probability vector, both in BFS state order.
+    n:
+        Number of states (BFS order); states are labelled by index.
+    transitions:
+        ``(i, j, term, multiplier)`` per transition firing, in BFS
+        order — the triplets of :class:`CompiledCTMC`, with the
+        vanishing-resolution probability as the multiplier.
+    up:
+        Optional up-state mask in BFS state order (enables
+        :meth:`availability`).
     build_values:
-        The parameter values the structure was generated at; the
-        deterministic reference solution used to warm-start engine-path
-        solves is computed here.
+        The parameter values the structure was generated at: the
+        defaults merged under every evaluated point, and the point the
+        deterministic warm-start reference is solved at.
     """
-
-    #: Below this many states the standard dense/direct fallback chain
-    #: wins and warm starts are pointless — same threshold as
-    #: :attr:`repro.sparse.SparseCTMC.ITERATIVE_LIMIT`.
-    ITERATIVE_LIMIT = 5_000
-
-    _MEMO_LIMIT = 1024
 
     def __init__(
         self,
         n: int,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        trip_rows: np.ndarray,
-        trip_cols: np.ndarray,
-        terms: Sequence[RateTerm],
-        term_ids: np.ndarray,
-        multipliers: np.ndarray,
+        transitions: Sequence[Tuple],
         up: Optional[np.ndarray] = None,
-        initial: Optional[np.ndarray] = None,
         build_values: Optional[Mapping[str, float]] = None,
     ):
-        self.n = int(n)
-        if self.n < 1:
-            raise ModelDefinitionError("chain has no states")
-        self._indices = np.asarray(indices)
-        self._indptr = np.asarray(indptr)
-        self._trip_rows = np.asarray(trip_rows, dtype=np.int64)
-        self._trip_cols = np.asarray(trip_cols, dtype=np.int64)
-        self._terms: Tuple[RateTerm, ...] = tuple(terms)
-        self._term_ids = np.asarray(term_ids, dtype=np.int64)
-        self._mult = np.asarray(multipliers, dtype=np.float64)
-        if not (self._trip_rows.size == self._trip_cols.size == self._term_ids.size == self._mult.size):
-            raise ModelDefinitionError("triplet arrays disagree in length")
+        super().__init__(range(int(n)), transitions)
         self.up = None if up is None else np.asarray(up, dtype=bool)
-        self.initial = None if initial is None else np.asarray(initial, dtype=float)
-        self._build_values: Dict[str, float] = dict(build_values or {})
-
-        # Map each streamed triplet (and each diagonal entry) to its slot
-        # in the frozen CSR data array.  csr_key is strictly increasing
-        # (CSR from COO is deduplicated and column-sorted), so one
-        # searchsorted resolves every coordinate.
-        nnz = self._indices.size
-        row_of = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
-        )
-        csr_key = row_of * self.n + self._indices.astype(np.int64)
-        trip_key = self._trip_rows * self.n + self._trip_cols
-        self._trip_slots = np.searchsorted(csr_key, trip_key)
-        if self._trip_slots.size and (
-            self._trip_slots.max(initial=0) >= nnz
-            or not np.array_equal(csr_key[self._trip_slots], trip_key)
-        ):
-            raise ModelDefinitionError(
-                "triplet coordinates do not match the CSR pattern"
-            )
-        diag_key = np.arange(self.n, dtype=np.int64) * (self.n + 1)
-        self._diag_slots = np.searchsorted(csr_key, diag_key)
-        if self._diag_slots.size and not np.array_equal(
-            csr_key[self._diag_slots], diag_key
-        ):
-            raise ModelDefinitionError("CSR pattern is missing diagonal entries")
-        # Duplicate (i, j) triplets (two transitions firing to the same
-        # target) need accumulation instead of a plain scatter.
-        self._has_duplicates = bool(
-            trip_key.size > 1 and np.any(np.diff(np.sort(trip_key)) == 0)
-        )
-        self._nnz = int(nnz)
-        self.parameters = self._term_parameters()
-        self._local = threading.local()
-        self._memo: Dict[Tuple, float] = {}
-        self._ref_pi: Optional[np.ndarray] = None
-        self._aug: Optional[Tuple] = None
+        self._build_values = dict(build_values or {})
+        self.parameters = self._param_names
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter("compile.sparse.structure_builds").inc()
-
-    # ---------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        # Thread-local buffers, memos and the assembled augmented system
-        # never cross processes; workers rebuild them deterministically.
-        state["_local"] = None
-        state["_memo"] = {}
-        state["_ref_pi"] = None
-        state["_aug"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    # ------------------------------------------------------------ access
-    @property
-    def n_states(self) -> int:
-        """Number of states (BFS order, frozen)."""
-        return self.n
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries of the frozen CSR pattern (diagonal included)."""
-        return self._nnz
-
-    def _term_parameters(self) -> Tuple[str, ...]:
-        from ..analyze.compiled import term_parameters
-
-        names: Dict[str, None] = {}
-        for term in self._terms:
-            for name in term_parameters(term):
-                names.setdefault(name)
-        return tuple(names)
 
     def size(self) -> Dict[str, int]:
         """Model-scale metadata (serve-registry advertisement form)."""
@@ -266,186 +152,14 @@ class CompiledSparseCTMC(CompiledEvaluator):
             "n_structure_functions": 0,
         }
 
-    # -------------------------------------------------------------- fill
-    def _workspace(self) -> threading.local:
-        ws = self._local
-        if getattr(ws, "data", None) is None:
-            ws.data = np.zeros(self._nnz)
-            ws.tvals = np.empty(len(self._terms))
-            ws.trip = np.empty(self._term_ids.size)
-        return ws
+    def describe(self) -> Dict[str, object]:
+        """Advertised metadata (adds the structure-reuse facts)."""
+        info = super().describe()
+        info["nnz"] = self.nnz
+        info["n_terms"] = len(self._terms)
+        return info
 
-    def fill(self, values: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the rate terms into the thread-local CSR data buffer.
-
-        Each *distinct* term is evaluated (and ``check_rate``-validated,
-        raising what the uncompiled net build would raise) exactly once;
-        the per-triplet values are one vectorized gather-and-scale.  The
-        diagonal accumulates ``-Σ row`` in triplet order, bit-identical
-        to the lazy builder's ``np.subtract.at``.  Returns the buffer —
-        shared per thread, copy it to keep it across fills.
-        """
-        tracer = get_tracer()
-        t0 = perf_counter()
-        ws = self._workspace()
-        for k, term in enumerate(self._terms):
-            rate = term(values)
-            check_rate(rate)
-            ws.tvals[k] = float(rate)
-        np.take(ws.tvals, self._term_ids, out=ws.trip)
-        ws.trip *= self._mult
-        data = ws.data
-        if self._has_duplicates:
-            data[...] = 0.0
-            np.add.at(data, self._trip_slots, ws.trip)
-        else:
-            data[self._trip_slots] = ws.trip
-        diag = np.bincount(self._trip_rows, weights=ws.trip, minlength=self.n)
-        np.negative(diag, out=diag)
-        data[self._diag_slots] = diag
-        if tracer.enabled:
-            tracer.metrics.counter("compile.sparse_fill_seconds").inc(
-                perf_counter() - t0
-            )
-        return data
-
-    def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
-        """The filled generator as CSR (shares the frozen index arrays).
-
-        The returned matrix's ``indices``/``indptr`` are the compile-time
-        arrays themselves — refills can never perturb the pattern — and
-        its ``data`` is the thread-local fill buffer.
-        """
-        data = self.fill(values)
-        return sparse.csr_matrix(
-            (data, self._indices, self._indptr), shape=(self.n, self.n)
-        )
-
-    # -------------------------------------------- augmented-system reuse
-    def _ensure_system(self):
-        """Precompute the gather that assembles ``A x = e_n`` per point.
-
-        ``A`` is ``Qᵀ`` with the last row replaced by ones.  Building it
-        once from a probe matrix whose data values encode their own slot
-        index yields, for every stored entry of ``A``, the position in
-        the CSR ``data`` buffer it reads from — per-point assembly is a
-        single fancy-index gather instead of a transpose + vstack.
-        """
-        if self._aug is None:
-            from ..sparse.krylov import augmented_system
-
-            probe = sparse.csr_matrix(
-                (
-                    np.arange(2.0, self._nnz + 2.0),
-                    self._indices.copy(),
-                    self._indptr.copy(),
-                ),
-                shape=(self.n, self.n),
-            )
-            a, b = augmented_system(probe)
-            is_norm = a.data == 1.0
-            positions = np.flatnonzero(~is_norm)
-            src = (a.data[positions] - 2.0).astype(np.int64)
-            a.data[is_norm] = 1.0
-            self._aug = (a, b, positions, src)
-        return self._aug
-
-    def _assemble_system(self, data: np.ndarray):
-        a, b, positions, src = self._ensure_system()
-        a.data[positions] = data[src]
-        return a, b
-
-    def _jacobi(self, data: np.ndarray, inv: Optional[np.ndarray] = None):
-        """(Re)build the Jacobi preconditioner from the filled diagonal.
-
-        ``inv`` is the reusable buffer backing an existing operator; the
-        in-place refresh is what "reusing" Jacobi across points means.
-        """
-        fresh = inv is None
-        if fresh:
-            inv = np.empty(self.n)
-        diag = data[self._diag_slots]
-        np.divide(1.0, np.where(diag == 0.0, 1.0, diag), out=inv[: self.n])
-        inv[self.n - 1] = 1.0
-        if not fresh:
-            return None
-        return sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=lambda x, _inv=inv: _inv * x, dtype=float
-        ), inv
-
-    # ------------------------------------------------------------- solve
-    def _reference(self) -> np.ndarray:
-        """The fixed warm-start vector for engine-path solves.
-
-        Solved cold at the compile-time parameter values through the
-        fully-validated front door, once per process.  Warm-starting
-        every point from this *same* deterministic vector (instead of
-        chaining point to point) keeps batch results independent of
-        evaluation order — serial, thread and process sweeps stay
-        bit-identical.
-        """
-        if self._ref_pi is None:
-            report = solve_steady_state(
-                self.generator(self._build_values),
-                iterative_limit=self.ITERATIVE_LIMIT,
-            )
-            self._ref_pi = report.pi
-        return self._ref_pi
-
-    def steady_state_report(
-        self,
-        values: Mapping[str, float],
-        x0: Union[None, str, np.ndarray] = "reference",
-    ) -> SolverReport:
-        """Fill at ``values`` and solve through the standard front door.
-
-        ``x0="reference"`` (default) warm-starts chains above
-        :attr:`ITERATIVE_LIMIT` from the :meth:`_reference` solution;
-        ``x0=None`` forces a cold start; an explicit vector is forwarded
-        as-is.  Below the limit the call is exactly what the uncompiled
-        :meth:`repro.sparse.SparseCTMC.steady_state_report` runs on the
-        same generator bytes, so small-chain results are bit-identical.
-        """
-        if isinstance(x0, str):
-            if x0 != "reference":
-                raise SolverError(f"unknown x0 policy {x0!r}; use 'reference'")
-            x0 = self._reference() if self.n > self.ITERATIVE_LIMIT else None
-        q = self.generator(values)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter("compile.reuse", kind="sparse").inc()
-        return solve_steady_state(q, iterative_limit=self.ITERATIVE_LIMIT, x0=x0)
-
-    def steady_state(
-        self,
-        values: Mapping[str, float],
-        x0: Union[None, str, np.ndarray] = "reference",
-    ) -> np.ndarray:
-        """Stationary vector at one parameter point (BFS state order)."""
-        return self.steady_state_report(values, x0=x0).pi
-
-    def availability(self, values: Mapping[str, float]) -> float:
-        """Steady-state availability at one point (memoized, bounded).
-
-        Requires the compile-time ``up`` mask.  The memo keys on the raw
-        values of :attr:`parameters`, exactly like
-        :meth:`CompiledCTMC.steady_state_cached`.
-        """
-        mask = self._up_mask()
-        key = tuple(values[name] for name in self.parameters)
-        hit = self._memo.get(key)
-        if hit is not None:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.metrics.counter("compile.reuse", kind="sparse-memo").inc()
-            return hit
-        pi = self.steady_state(values)
-        result = float(pi[mask].sum())
-        if len(self._memo) >= self._MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = result
-        return result
-
+    # ------------------------------------------------------ availability
     def _up_mask(self) -> np.ndarray:
         if self.up is None:
             raise ModelDefinitionError(
@@ -454,17 +168,26 @@ class CompiledSparseCTMC(CompiledEvaluator):
             )
         return self.up
 
-    # ------------------------------------------------------- batch/engine
-    def __call__(self, assignment: Mapping[str, float]) -> float:
-        unknown = sorted(set(assignment) - set(self.parameters))
+    def availability(self, values: Mapping[str, float]) -> float:
+        """Steady-state availability at one complete parameter point."""
+        mask = self._up_mask()
+        return float(self.steady_state_cached(values)[mask].sum())
+
+    def _point(self, assignment: Mapping[str, float]) -> Dict[str, float]:
+        """``assignment`` merged over the build values; unknown names raise."""
+        unknown = sorted(set(assignment) - set(self._param_names))
         if unknown:
             raise ModelDefinitionError(
                 f"unknown parameter(s) {unknown}; this compiled chain sweeps "
-                f"{list(self.parameters)}"
+                f"{list(self._param_names)}"
             )
         values = dict(self._build_values)
         values.update(assignment)
-        return self.availability(values)
+        return values
+
+    # ------------------------------------------------------- batch/engine
+    def __call__(self, assignment: Mapping[str, float]) -> float:
+        return self.availability(self._point(assignment))
 
     def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
         out = np.empty(len(assignments))
@@ -473,25 +196,47 @@ class CompiledSparseCTMC(CompiledEvaluator):
         return out
 
     # -------------------------------------------------------------- sweep
+    def _system(self, data: np.ndarray):
+        """The augmented system ``A x = e_n`` at the filled ``data``.
+
+        ``A`` is ``Qᵀ`` with the last row replaced by ones.  Building it
+        once (per thread) from a probe matrix whose data values encode
+        their own slot index yields, for every stored entry of ``A``,
+        the position in the CSR ``data`` buffer it reads from — per-point
+        assembly is one fancy-index gather instead of a transpose +
+        vstack.
+        """
+        ws = self._workspace()
+        if getattr(ws, "system", None) is None:
+            from ..sparse.krylov import augmented_system
+
+            probe = self._csr(np.arange(2.0, self.nnz + 2.0))
+            a, b = augmented_system(probe)
+            is_norm = a.data == 1.0
+            positions = np.flatnonzero(~is_norm)
+            src = (a.data[positions] - 2.0).astype(np.int64)
+            a.data[is_norm] = 1.0
+            ws.system = (a, b, positions, src)
+        a, b, positions, src = ws.system
+        a.data[positions] = data[src]
+        return a, b
+
     def sweep(
         self,
         assignments: Sequence[Mapping[str, float]],
         order: Optional[str] = None,
-        method: str = "gmres",
-        preconditioner: str = "jacobi",
-        tol: float = 1e-12,
-        refresh_factor: float = 3.0,
-        min_refresh_iterations: int = 30,
     ) -> np.ndarray:
         """Availability across a campaign with chained warm starts.
 
-        The continuation fast path: per point, :meth:`fill` rewrites the
-        CSR data buffer, the augmented system is reassembled by one
-        gather, the Krylov solve warm-starts from the *previous point's*
-        solution, and the preconditioner is reused — Jacobi refreshed
-        in-place from the new diagonal; ILU re-factored only when a
-        point's iteration count regresses past
-        ``max(refresh_factor × rolling-best, min_refresh_iterations)``.
+        Every point passes the same parameter check as ``__call__``.
+        Up to :attr:`ITERATIVE_LIMIT` states each point is an ordinary
+        (memoized) evaluation.  Above it, the continuation fast path
+        runs: :meth:`fill` rewrites the CSR data buffer, the augmented
+        system is reassembled by one gather, the GMRES solve warm-starts
+        from the *previous point's* solution, and the Jacobi
+        preconditioner is refreshed in place from the new diagonal.  A
+        point whose Krylov solve fails is re-solved cold through the
+        validated front door.
 
         Results match cold per-point solves within the solver tolerance
         (not bitwise — warm starts chain point to point, so use the
@@ -506,74 +251,56 @@ class CompiledSparseCTMC(CompiledEvaluator):
                 f"unknown sweep order {order!r}; use None or 'continuation'"
             )
         mask = self._up_mask()
+        points = [self._point(assignment) for assignment in assignments]
         stats = SweepStats()
         self.last_sweep_stats = stats
         perm = (
             continuation_order(assignments)
             if order == "continuation"
-            else list(range(len(assignments)))
+            else list(range(len(points)))
         )
-        out = np.empty(len(assignments))
+        out = np.empty(len(points))
         if self.n <= self.ITERATIVE_LIMIT:
             # Small chains: direct/GTH per point beats any warm start;
             # structure reuse is still the win (no re-BFS).
             for i in perm:
-                out[i] = self(assignments[i])
+                out[i] = self.availability(points[i])
                 stats.points += 1
                 stats.cold_solves += 1
             return out
 
+        from ..sparse.krylov import steady_state_iterative
+
         tracer = get_tracer()
-        m_op = None
-        jacobi_inv: Optional[np.ndarray] = None
-        best_iters: Optional[int] = None
+        inv = np.empty(self.n)
+        jacobi = sparse_linalg.LinearOperator(
+            (self.n, self.n), matvec=lambda x: inv * x, dtype=float
+        )
         prev_pi: Optional[np.ndarray] = None
         for i in perm:
-            values = dict(self._build_values)
-            values.update(assignments[i])
             t0 = perf_counter()
-            data = self.fill(values)
+            data = self.fill(points[i])
             stats.fills += 1
             stats.fill_seconds += perf_counter() - t0
-            a, b = self._assemble_system(data)
+            a, b = self._system(data)
             t0 = perf_counter()
-            if preconditioner == "jacobi":
-                if m_op is None:
-                    m_op, jacobi_inv = self._jacobi(data)
-                    stats.precond_builds += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.build", kind="jacobi").inc()
-                else:
-                    self._jacobi(data, jacobi_inv)
-                    stats.precond_reuses += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.reuse", kind="jacobi").inc()
-            elif preconditioner == "ilu":
-                if m_op is None:
-                    m_op = self._factor_ilu(a)
-                    stats.precond_builds += 1
-                    best_iters = None
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.build", kind="ilu").inc()
-                else:
-                    stats.precond_reuses += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.reuse", kind="ilu").inc()
-            elif preconditioner == "none":
-                m_op = None
+            diag = data[self._diag_pos]
+            np.divide(1.0, np.where(diag == 0.0, 1.0, diag), out=inv)
+            inv[-1] = 1.0
+            if stats.precond_builds:
+                stats.precond_reuses += 1
+                event = "reuse"
             else:
-                raise SolverError(
-                    f"unknown preconditioner {preconditioner!r}; "
-                    "use 'jacobi', 'ilu' or 'none'"
-                )
+                stats.precond_builds += 1
+                event = "build"
+            if tracer.enabled:
+                tracer.metrics.counter(f"compile.precond.{event}", kind="jacobi").inc()
             try:
-                from ..sparse.krylov import steady_state_iterative
-
                 pi = steady_state_iterative(
                     None,
-                    method=method,
-                    tol=tol,
-                    preconditioner=m_op,
+                    method="gmres",
+                    tol=1e-12,
+                    preconditioner=jacobi,
                     validated=True,
                     x0=prev_pi,
                     system=(a, b),
@@ -584,12 +311,10 @@ class CompiledSparseCTMC(CompiledEvaluator):
                 # cold.  The warm path resumes at the next point.
                 stats.fallbacks += 1
                 report = solve_steady_state(
-                    self.generator(values), iterative_limit=self.ITERATIVE_LIMIT
+                    self._csr(data), iterative_limit=self.ITERATIVE_LIMIT
                 )
                 pi = report.pi
                 iters = report.iterations
-                if preconditioner == "ilu":
-                    m_op = None  # force a refactor at the next point
             stats.solve_seconds += perf_counter() - t0
             stats.points += 1
             stats.iterations.append(iters)
@@ -599,43 +324,7 @@ class CompiledSparseCTMC(CompiledEvaluator):
                 stats.warm_solves += 1
             prev_pi = pi
             out[i] = float(pi[mask].sum())
-            if preconditioner == "ilu" and iters is not None and m_op is not None:
-                if best_iters is None or iters < best_iters:
-                    best_iters = iters
-                threshold = max(
-                    refresh_factor * best_iters, float(min_refresh_iterations)
-                )
-                if iters > threshold:
-                    m_op = self._factor_ilu(a)
-                    best_iters = None
-                    stats.precond_refactors += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "compile.precond.refactor", kind="ilu"
-                        ).inc()
         return out
-
-    def _factor_ilu(self, a: sparse.csr_matrix) -> sparse_linalg.LinearOperator:
-        try:
-            ilu = sparse_linalg.spilu(a.tocsc(), drop_tol=1e-5, fill_factor=10.0)
-        except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
-            raise SolverError(f"ILU preconditioner factorization failed: {exc}") from exc
-        return sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=ilu.solve, dtype=float
-        )
-
-    def describe(self) -> Dict[str, object]:
-        """Advertised metadata (adds the structure-reuse facts)."""
-        info = super().describe()
-        info["nnz"] = self._nnz
-        info["n_terms"] = len(self._terms)
-        return info
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CompiledSparseCTMC(n_states={self.n}, nnz={self._nnz}, "
-            f"n_terms={len(self._terms)}, parameters={list(self.parameters)})"
-        )
 
 
 class CompiledNFVChain(CompiledEvaluator):

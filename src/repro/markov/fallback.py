@@ -17,7 +17,6 @@ solved by the second-choice method instead of silently diverging.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,9 +34,14 @@ __all__ = [
     "generator_diagnostics",
     "SolverAttempt",
     "SolverReport",
+    "require_irreducible",
     "solve_steady_state",
-    "resolve_method_kwarg",
 ]
+
+#: States up to which the ``"auto"`` chain leads with dense GTH; compiled
+#: chains solve with GTH on their filled buffer up to the same size.
+DENSE_LIMIT = 2_000
+
 
 @dataclass(frozen=True)
 class GeneratorDiagnostics:
@@ -246,46 +250,31 @@ def _relative_residual(q: sparse.csr_matrix, pi: np.ndarray, max_rate: float) ->
     return float(residual.max()) / max(1.0, max_rate)
 
 
-def resolve_method_kwarg(
-    method: Optional[str],
-    strategy: Optional[str],
-    function: str,
-    default: str = "auto",
-) -> str:
-    """Fold the deprecated ``strategy=`` kwarg into ``method=``.
+def require_irreducible(diagnostics: GeneratorDiagnostics) -> None:
+    """Refuse a chain without a unique stationary vector.
 
-    The shim behind the library-wide solver API unification: ``method=``
-    is the one spelling (matching :meth:`CTMC.steady_state` and
-    :meth:`CTMC.transient`), ``strategy=`` keeps working with a
-    :class:`DeprecationWarning`, and passing both with different values
-    is an error.
+    The front door's structural check, shared with compiled chains that
+    run it once per frozen structure instead of once per solve.
     """
-    if strategy is not None:
-        warnings.warn(
-            f"{function}(strategy=...) is deprecated; use method=... "
-            f"(same values, same semantics)",
-            DeprecationWarning,
-            stacklevel=3,
+    if diagnostics.n_states == 0:
+        raise ModelDefinitionError("generator has no states")
+    if not diagnostics.irreducible and diagnostics.n_states > 1:
+        raise ModelDefinitionError(
+            f"chain is not irreducible ({diagnostics.n_strong_components} strongly "
+            f"connected components); the stationary vector is not unique — solve "
+            f"the recurrent class(es) separately"
         )
-        if method is not None and method != strategy:
-            raise ModelDefinitionError(
-                f"{function}() got both method={method!r} and the deprecated "
-                f"strategy={strategy!r}; pass method= only"
-            )
-        return strategy
-    return default if method is None else method
 
 
 def solve_steady_state(
     generator,
-    method: Optional[str] = None,
+    method: str = "auto",
     order: Optional[Sequence[str]] = None,
     residual_tol: float = 1e-8,
-    dense_limit: int = 2000,
+    dense_limit: int = DENSE_LIMIT,
     stiffness_threshold: float = 1e8,
     iterative_limit: int = 50_000,
     stages: Optional[Mapping[str, Callable]] = None,
-    strategy: Optional[str] = None,
     diagnostics: str = "ignore",
     x0: Optional[np.ndarray] = None,
 ) -> SolverReport:
@@ -331,10 +320,6 @@ def solve_steady_state(
         (:class:`~repro.robust.FailingCallable`) to force and test
         fallbacks.  Overridden stages run exactly as given, without the
         registered method's pre-checks.
-    strategy:
-        Deprecated alias of ``method`` (the pre-unification spelling).
-        Accepted with a :class:`DeprecationWarning`; results are
-        bit-identical to the ``method=`` path.
     diagnostics:
         ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
         full :mod:`repro.analyze` lint pass (steady-state query) before
@@ -365,7 +350,6 @@ def solve_steady_state(
     >>> np.round(report.pi, 8).tolist()
     [0.66666667, 0.33333333]
     """
-    method = resolve_method_kwarg(method, strategy, "solve_steady_state")
     q = sparse.csr_matrix(generator, dtype=float)
     if diagnostics != "ignore":
         from ..analyze import run_diagnostics
@@ -375,14 +359,7 @@ def solve_steady_state(
     validate_generator(q)
     validation_seconds = time.perf_counter() - validation_start
     diagnostics = generator_diagnostics(q)
-    if diagnostics.n_states == 0:
-        raise ModelDefinitionError("generator has no states")
-    if not diagnostics.irreducible and diagnostics.n_states > 1:
-        raise ModelDefinitionError(
-            f"chain is not irreducible ({diagnostics.n_strong_components} strongly "
-            f"connected components); the stationary vector is not unique — solve "
-            f"the recurrent class(es) separately"
-        )
+    require_irreducible(diagnostics)
 
     known: Dict[str, Callable] = dict(STEADY_STATE.stages())
     if stages:

@@ -104,18 +104,7 @@ class SparseCTMC:
             )
         self._labels = labels
         self._label_index: Optional[Dict[Hashable, int]] = None
-        if initial is None:
-            self._initial = None
-        else:
-            p0 = np.asarray(initial, dtype=float)
-            if p0.shape != (n,):
-                raise ModelDefinitionError(
-                    f"initial vector has shape {p0.shape}, expected ({n},)"
-                )
-            total = p0.sum()
-            if not np.isfinite(total) or abs(total - 1.0) > 1e-9 or p0.min() < 0:
-                raise ModelDefinitionError("initial must be a probability vector")
-            self._initial = p0
+        self._initial = None if initial is None else self._probability_vector(initial)
         if up is None:
             self._up = None
         else:
@@ -125,6 +114,19 @@ class SparseCTMC:
                     f"up mask has shape {mask.shape}, expected ({n},)"
                 )
             self._up = mask
+
+    def _probability_vector(self, initial) -> np.ndarray:
+        """``initial`` as a float vector; refuses non-probability vectors."""
+        p0 = np.asarray(initial, dtype=float)
+        n = self.n_states
+        if p0.shape != (n,):
+            raise ModelDefinitionError(
+                f"initial vector has shape {p0.shape}, expected ({n},)"
+            )
+        total = p0.sum()
+        if not np.isfinite(total) or abs(total - 1.0) > 1e-9 or p0.min() < 0:
+            raise ModelDefinitionError("initial must be a probability vector")
+        return p0
 
     # ------------------------------------------------------------ structure
     @property
@@ -227,7 +229,7 @@ class SparseCTMC:
 
         scalar = np.isscalar(times)
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        p0 = self.initial_vector if initial is None else np.asarray(initial, dtype=float)
+        p0 = self.initial_vector if initial is None else self._probability_vector(initial)
         out = solve_transient(
             self._q, p0, ts, method=method, diagnostics=diagnostics, **kwargs
         )

@@ -57,6 +57,9 @@ _DEFAULT_CHUNK = 65_536
 _DICT_SLOT_BYTES = 104
 #: Bytes per streamed transition triplet (int64 row + int64 col + float64).
 _TRIPLET_BYTES = 24
+#: Bytes per recorded ``(i, j, term, multiplier)`` tuple and its list slot
+#: (the row, column, interned term and probability objects are shared).
+_RECORD_BYTES = 80
 
 
 class _TripletBuffer:
@@ -105,39 +108,6 @@ class _TripletBuffer:
         return self._allocated * _TRIPLET_BYTES
 
 
-class _ChunkVec:
-    """Append-only scalar store in chunk-allocated NumPy arrays.
-
-    The single-column sibling of :class:`_TripletBuffer`, used by the
-    ``rate_terms=`` recording path for the per-transition term ids and
-    vanishing-resolution multipliers.
-    """
-
-    __slots__ = ("_chunk", "_dtype", "_full", "_buf", "_fill")
-
-    def __init__(self, dtype, chunk: int = _DEFAULT_CHUNK):
-        self._chunk = int(chunk)
-        self._dtype = dtype
-        self._full: List[np.ndarray] = []
-        self._buf = np.empty(self._chunk, dtype=dtype)
-        self._fill = 0
-
-    def add(self, value) -> None:
-        if self._fill == self._chunk:
-            self._full.append(self._buf)
-            self._buf = np.empty(self._chunk, dtype=self._dtype)
-            self._fill = 0
-        self._buf[self._fill] = value
-        self._fill += 1
-
-    def array(self) -> np.ndarray:
-        return np.concatenate([*self._full, self._buf[: self._fill]])
-
-    @property
-    def nbytes(self) -> int:
-        return (len(self._full) + 1) * self._chunk * self._buf.itemsize
-
-
 class SparseReachabilityResult:
     """Outcome of lazy reachability analysis.
 
@@ -149,7 +119,8 @@ class SparseReachabilityResult:
 
     When the build recorded symbolic rates (``rate_terms=``),
     ``compiled`` holds the :class:`~repro.compile.sparse.CompiledSparseCTMC`
-    sharing this chain's frozen CSR index arrays; otherwise ``None``.
+    built from the recorded triplets (same CSR pattern as this chain's
+    generator); otherwise ``None``.
     """
 
     def __init__(
@@ -258,10 +229,8 @@ def build_sparse_reachability(
             by_memory = int(memory_limit_mb * 1024 * 1024) // (4 * _TRIPLET_BYTES)
             initial_capacity = max(int(chunk), min(expected_edges, by_memory))
     record = rate_terms is not None
-    term_index: Dict = {}
-    terms: List = []
-    term_ids = _ChunkVec(np.int64, chunk) if record else None
-    multipliers = _ChunkVec(np.float64, chunk) if record else None
+    interned: Dict = {}
+    transitions: List[Tuple] = []
     memory_limit = int(memory_limit_mb * 1024 * 1024)
     places = tuple(net.places)
     token_bytes = 56 + 8 * len(places) + _DICT_SLOT_BYTES
@@ -336,19 +305,16 @@ def build_sparse_reachability(
                     targets = {successor: 1.0}
                 if record:
                     term = rate_terms(transition, marking)
-                    tid = term_index.get(term)
-                    if tid is None:
-                        tid = len(terms)
-                        term_index[term] = tid
-                        terms.append(term)
+                    # one shared object per distinct term, however many
+                    # transitions fire with it
+                    term = interned.setdefault(term, term)
                 for target, prob in targets.items():
                     if target.tokens == tokens[i]:
                         continue  # rate flows back: no net transition
                     j = intern(target)
                     triplets.add(i, j, rate * prob)
                     if record:
-                        term_ids.add(tid)
-                        multipliers.add(prob)
+                        transitions.append((i, j, term, prob))
             explored += 1
             if explored % chunk == 0:
                 markings_counter.inc(len(tokens) - last_markings)
@@ -356,8 +322,7 @@ def build_sparse_reachability(
                 last_markings = len(tokens)
                 last_edges = triplets.count
                 estimated = len(tokens) * token_bytes + triplets.nbytes
-                if record:
-                    estimated += term_ids.nbytes + multipliers.nbytes
+                estimated += len(transitions) * _RECORD_BYTES
                 if estimated > memory_limit:
                     raise StateSpaceError(
                         f"lazy reachability exceeded the {memory_limit_mb:.0f} MiB "
@@ -402,16 +367,6 @@ def build_sparse_reachability(
         from ..compile.sparse import CompiledSparseCTMC
 
         result.compiled = CompiledSparseCTMC(
-            n,
-            generator.indices,
-            generator.indptr,
-            rows,
-            cols,
-            terms,
-            term_ids.array(),
-            multipliers.array(),
-            up=mask,
-            initial=initial_vector,
-            build_values=rate_values,
+            n, transitions, up=mask, build_values=rate_values
         )
     return result

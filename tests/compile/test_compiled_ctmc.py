@@ -13,7 +13,7 @@ import pytest
 
 from repro.compile import CompiledCTMC
 from repro.compile.ctmc import Complement, Const, Param, Scaled, Times
-from repro.exceptions import DistributionError, ModelDefinitionError, SolverError
+from repro.exceptions import DistributionError, ModelDefinitionError
 from repro.markov.ctmc import CTMC
 from repro.markov.solvers import solve_transient
 
@@ -55,9 +55,9 @@ class TestFill:
     def test_fill_matches_uncompiled_generator(self):
         cc = compiled_pair()
         for values in POINTS:
-            dense = cc.fill(values)
-            reference = build_pair(**values).generator().toarray()
-            assert np.array_equal(dense, reference)
+            data = cc.fill(values)
+            reference = build_pair(**values).generator().data
+            assert data.tobytes() == reference.tobytes()
 
     def test_csr_generator_matches_uncompiled(self):
         cc = compiled_pair()
@@ -75,7 +75,7 @@ class TestFill:
             ["a", "b"],
             [(0, 1, Const(0.3)), (0, 1, Const(0.4)), (1, 0, Const(1.0))],
         )
-        assert np.array_equal(cc.fill({}), chain.generator().toarray())
+        assert cc.fill({}).tobytes() == chain.generator().data.tobytes()
 
     def test_fill_buffer_is_reused(self):
         cc = compiled_pair()
@@ -85,11 +85,11 @@ class TestFill:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("method", ["gth", "direct", "power"])
+    @pytest.mark.parametrize("method", ["gth"])
     def test_steady_state_bit_identical(self, method):
         cc = compiled_pair()
         for values in POINTS:
-            pi = cc.steady_state(values, method=method)
+            pi = cc.steady_state(values)
             reference = build_pair(**values).steady_state(method=method)
             for state in (2, 1, 0):
                 assert bits(pi[cc.index_of(state)]) == bits(reference[state]), (
@@ -98,23 +98,42 @@ class TestSolve:
                     state,
                 )
 
-    def test_direct_pattern_reused_across_points(self):
+    def test_front_door_above_dense_limit(self):
         cc = compiled_pair()
-        cc.steady_state(POINTS[0], method="direct")
-        pattern = cc._direct_pattern
-        cc.steady_state(POINTS[1], method="direct")
-        assert cc._direct_pattern is pattern
+        cc.DENSE_LIMIT = 2  # 3 states: solve through solve_steady_state
+        for values in POINTS:
+            np.testing.assert_allclose(
+                cc.steady_state(values),
+                compiled_pair().steady_state(values),
+                rtol=1e-12,
+                atol=0.0,
+            )
 
-    def test_direct_matches_reference_route(self):
+    def test_irreducibility_checked_once_per_structure(self, monkeypatch):
+        import repro.compile.ctmc as compiled_module
+
+        calls = []
+        original = compiled_module.generator_diagnostics
+
+        def counting(q):
+            calls.append(q.shape)
+            return original(q)
+
+        monkeypatch.setattr(compiled_module, "generator_diagnostics", counting)
         cc = compiled_pair()
         for values in POINTS:
-            fast = cc.steady_state(values, method="direct")
-            slow = cc.steady_state_direct_reference(values)
-            assert fast.tobytes() == slow.tobytes()
+            cc.steady_state(values)
+        assert calls == [(3, 3)]
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(SolverError, match="unknown steady-state method"):
-            compiled_pair().steady_state(POINTS[0], method="qr")
+    def test_reducible_chain_rejected(self):
+        # "c" drains into the {a, b} class and is never re-entered
+        cc = CompiledCTMC(
+            ["a", "b", "c"],
+            [(0, 1, Param("lam")), (1, 0, Param("lam")), (2, 0, Const(1.0))],
+        )
+        for _ in range(2):  # a failed check is not remembered as passed
+            with pytest.raises(ModelDefinitionError, match="not irreducible"):
+                cc.steady_state({"lam": 0.5})
 
     def test_transient_bit_identical(self):
         cc = compiled_pair()
@@ -160,7 +179,7 @@ class TestStructure:
         chain = build_pair(lam=2e-4, mu=0.125)
         cc = CompiledCTMC.from_ctmc(chain)
         assert cc.states == (2, 1, 0)
-        assert np.array_equal(cc.fill({}), chain.generator().toarray())
+        assert cc.fill({}).tobytes() == chain.generator().data.tobytes()
         pi = cc.steady_state({})
         ref = chain.steady_state()
         for state in (2, 1, 0):
@@ -189,6 +208,11 @@ class TestStructure:
 
     def test_n_states(self):
         assert compiled_pair().n_states == 3
+
+    def test_chain_without_transitions(self):
+        cc = CompiledCTMC(["only"], [])
+        assert cc.generator({}).toarray().tolist() == [[0.0]]
+        assert cc.steady_state({}).tolist() == [1.0]
 
 
 class TestSolveMemo:
@@ -232,6 +256,12 @@ class TestSolveMemo:
             clone.steady_state_cached(POINTS[0]).tobytes()
             == cc.steady_state_cached(POINTS[0]).tobytes()
         )
+
+    def test_no_memo_above_dense_limit(self):
+        cc = compiled_pair()
+        cc.DENSE_LIMIT = 2
+        cc.steady_state_cached(POINTS[0])
+        assert not cc._memo
 
     def test_memo_bounded(self):
         cc = compiled_pair()

@@ -20,7 +20,7 @@ from repro.compile import (
     supports_compilation,
 )
 from repro.compile.ctmc import Param
-from repro.exceptions import ModelDefinitionError, SolverError
+from repro.exceptions import ModelDefinitionError
 from repro.obs import Tracer, activate_tracer
 from repro.petrinet.templates import (
     machine_repairman,
@@ -199,10 +199,14 @@ class TestSweep:
         with pytest.raises(ModelDefinitionError, match="unknown sweep order"):
             result.compiled.sweep([values], order="zigzag")
 
-    def test_steady_state_rejects_unknown_x0_policy(self):
+    @pytest.mark.parametrize("limit", [None, 2], ids=["direct", "krylov"])
+    def test_sweep_rejects_unknown_parameter_at_every_size(self, limit):
         result, values = _build(_repairman_case)
-        with pytest.raises(SolverError, match="x0 policy"):
-            result.compiled.steady_state(values, x0="previous")
+        compiled = result.compiled
+        if limit is not None:
+            compiled.ITERATIVE_LIMIT = limit  # 7 states: take the Krylov path
+        with pytest.raises(ModelDefinitionError, match="unknown parameter"):
+            compiled.sweep([{"failure_rat": 1e-3}, {"failure_rat": 5e-2}])
 
 
 class TestContinuationOrder:

@@ -90,6 +90,22 @@ class TestSolving:
         out = two_state().transient(1.0)
         assert out.shape == (2,)
 
+    @pytest.mark.parametrize(
+        "initial, match",
+        [([2.0, 0.0], "probability"), ([1.5, -0.5], "probability"), ([1.0], "shape")],
+        ids=["mass-2", "negative", "wrong-shape"],
+    )
+    def test_transient_rejects_bad_initial(self, initial, match):
+        chain = SparseCTMC(sparse.csr_matrix(np.array([[-1.0, 1.0], [2.0, -2.0]])))
+        with pytest.raises(ModelDefinitionError, match=match):
+            chain.transient(1.0, initial=initial)
+
+    def test_transient_accepts_explicit_initial(self):
+        chain = two_state()
+        np.testing.assert_array_equal(
+            chain.transient([1.0, 5.0], initial=[1.0, 0.0]), chain.transient([1.0, 5.0])
+        )
+
     def test_transient_krylov_method(self):
         chain = two_state()
         uni = chain.transient([1.0, 5.0], method="uniformization")

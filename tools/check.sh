@@ -53,6 +53,19 @@ python benchmarks/bench_e38_sparse_sweep.py --smoke || status=1
 echo "== bench e39 (smoke: structural pre-flight sizes nets without BFS) =="
 python benchmarks/bench_e39_invariants.py --smoke || status=1
 
+# The perfbench ledger wraps library stages by name (CompiledSparseCTMC.fill,
+# the compiled case-study evaluators, CTMC.steady_state, the STEADY_STATE
+# registry stages); a short traced run of each workload fails loudly when a
+# rename under src/ breaks one of those hooks.
+echo "== perfbench (traced smoke: every ledger hook still resolves) =="
+for w in campaign-small sparse-sweep serve-mixed; do
+    if ! out=$(python3 perfbench/run.py --workload "$w" --trace 1 --seconds 2 2>&1); then
+        printf '%s\n' "$out"
+        echo "perfbench $w smoke failed"
+        status=1
+    fi
+done
+
 if [ "${1:-}" != "--no-tests" ]; then
     echo "== pytest =="
     python -m pytest -q || status=1
