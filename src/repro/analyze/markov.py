@@ -18,6 +18,7 @@ Two layers:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,8 +38,8 @@ __all__ = [
 
 #: Stiffness ratio above which M103 fires — the spread where naive
 #: elimination starts losing precision (failures per 1e5 h vs repairs
-#: per hour sits around 1e7–1e10).  Matches the ``stiffness_threshold``
-#: default of :func:`repro.markov.fallback.solve_steady_state`.
+#: per hour sits around 1e7–1e10).  At or above it the ``"auto"`` chain
+#: of :func:`repro.markov.fallback.solve_steady_state` leads with GTH.
 STIFFNESS_THRESHOLD = 1e8
 
 
@@ -63,7 +64,11 @@ def generator_defects(
     """
     defects: List[Diagnostic] = []
     if sparse.issparse(generator):
-        q = sparse.csr_matrix(generator, dtype=float)
+        # scanned on the CSR arrays: no scipy.sparse temporaries
+        q = generator if generator.format == "csr" else sparse.csr_matrix(generator)
+        if not q.has_canonical_format:  # duplicate entries add up
+            q = q.copy()
+            q.sum_duplicates()
         n = q.shape[0]
         if q.shape != (n, n):
             return n, [
@@ -73,12 +78,12 @@ def generator_defects(
                     location=f"shape {q.shape}",
                 )
             ]
-        data = q.data
-        finite = not (data.size and not np.all(np.isfinite(data)))
-        scale = max(1.0, float(np.abs(data).max())) if data.size else 1.0
-        off = q - sparse.diags(q.diagonal())
-        min_off = float(off.data.min()) if off.data.size else 0.0
-        row_sums = np.asarray(q.sum(axis=1)).ravel()
+        data = np.asarray(q.data, dtype=float)
+        absmax = float(np.abs(data).max()) if data.size else 0.0
+        rows = np.repeat(np.arange(n), np.diff(q.indptr))
+        off = data[q.indices != rows]
+        min_off = float(off.min()) if off.size else 0.0
+        row_sums = np.bincount(rows, weights=data, minlength=n)
     else:
         a = np.asarray(generator, dtype=float)
         n = a.shape[0] if a.ndim == 2 else -1
@@ -90,17 +95,20 @@ def generator_defects(
                     location=f"shape {a.shape}",
                 )
             ]
-        finite = bool(np.all(np.isfinite(a)))
-        scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-        off_mask = ~np.eye(n, dtype=bool)
-        min_off = float(a[off_mask].min()) if n > 1 else 0.0
+        absmax = float(np.abs(a).max()) if a.size else 0.0
+        # The off-diagonal entries as a view: drop the first flat entry
+        # and every diagonal lands in the last column of an (n-1, n+1)
+        # reshape.
+        min_off = float(a.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].min()) if n > 1 else 0.0
         row_sums = a.sum(axis=1)
-    if not finite:
+    # A NaN or infinite entry makes the absolute maximum non-finite.
+    if math.isfinite(absmax):
+        scale = max(1.0, absmax)
+    else:
         defects.append(Diagnostic("M003", "generator contains non-finite entries"))
-        # NaN propagates into scale; keep the remaining comparisons
-        # meaningful by falling back to the unscaled tolerance.
-        if not np.isfinite(scale):
-            scale = 1.0
+        # Keep the remaining comparisons meaningful by falling back to
+        # the unscaled tolerance.
+        scale = 1.0
     if min_off < -tol * scale:
         defects.append(
             Diagnostic(
@@ -109,7 +117,7 @@ def generator_defects(
                 f"transition rates must be non-negative",
             )
         )
-    if row_sums.size:
+    if row_sums.size and not float(np.abs(row_sums).max()) <= tol * scale:
         finite_sums = np.where(np.isfinite(row_sums), row_sums, 0.0)
         worst = int(np.abs(finite_sums).argmax())
         deviation = float(row_sums[worst])

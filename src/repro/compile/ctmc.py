@@ -167,8 +167,8 @@ class CompiledCTMC:
     0.99980396
     """
 
-    #: GTH on the filled buffer up to this many states — the default
-    #: ``dense_limit`` of :func:`~repro.markov.fallback.solve_steady_state`.
+    #: GTH on the filled buffer up to this many states — the front
+    #: door's :data:`~repro.markov.fallback.DENSE_LIMIT`.
     DENSE_LIMIT = DENSE_LIMIT
 
     #: Above this many states the front door goes iterative and solves

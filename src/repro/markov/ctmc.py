@@ -4,8 +4,9 @@ State-space models capture what non-state-space models cannot: shared
 repair facilities, imperfect coverage, warm/cold spares, operational
 dependencies.  The price is state-space explosion — benchmark E06
 measures it — and this module is the solution engine those models rest
-on: steady-state (GTH / sparse-direct / power), transient (uniformization
-/ ODE), cumulative transient, and absorbing-chain analysis (MTTA,
+on: steady-state (through the :func:`~repro.markov.fallback.solve_steady_state`
+front door), transient (through :func:`~repro.markov.solvers.solve_transient`),
+cumulative transient, and absorbing-chain analysis (MTTA,
 absorption probabilities).
 
 States are arbitrary hashable labels; matrices are built lazily and
@@ -38,15 +39,8 @@ from scipy import sparse
 from .._validation import check_rate
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
-from ..obs.trace import get_tracer
-from .solvers import (
-    cumulative_uniformization,
-    gth_solve,
-    solve_transient,
-    steady_state_direct,
-    steady_state_power,
-    transient_ode,
-)
+from .fallback import solve_steady_state
+from .solvers import cumulative_uniformization, solve_transient
 
 __all__ = ["CTMC", "MarkovDependabilityModel"]
 
@@ -140,22 +134,21 @@ class CTMC:
             n = self.n_states
             if n == 0:
                 raise ModelDefinitionError("chain has no states")
-            nnz = len(self._coo_rows)
-            rows = np.empty(nnz + n, dtype=np.int64)
-            cols = np.empty(nnz + n, dtype=np.int64)
-            vals = np.empty(nnz + n, dtype=float)
-            rows[:nnz] = self._coo_rows
-            cols[:nnz] = self._coo_cols
-            vals[:nnz] = self._coo_vals
+            index = np.arange(n)
+            rows = np.concatenate((np.array(self._coo_rows, dtype=np.int64), index))
+            cols = np.concatenate((np.array(self._coo_cols, dtype=np.int64), index))
             diag = np.zeros(n)
             # In-order subtraction matches the historical per-entry
             # `diag[i] -= rate` loop bit for bit.
-            np.subtract.at(diag, rows[:nnz], vals[:nnz])
-            rows[nnz:] = np.arange(n)
-            cols[nnz:] = np.arange(n)
-            vals[nnz:] = diag
+            np.subtract.at(diag, rows[: len(self._coo_vals)], self._coo_vals)
+            vals = np.concatenate((self._coo_vals, diag))
+            # Every (row, column) pair is distinct, so ordering the
+            # triplets is the whole COO → CSR conversion.
+            order = np.lexsort((cols, rows))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
             self._generator_cache = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(n, n), dtype=float
+                (vals[order], cols[order], indptr), shape=(n, n)
             )
         return self._generator_cache
 
@@ -187,12 +180,11 @@ class CTMC:
         Parameters
         ----------
         method:
-            ``"gth"`` (default, dense, stiffness-proof), ``"direct"``
-            (sparse LU), ``"power"`` (power iteration on the uniformized
-            chain), or ``"auto"`` — the diagnosed fallback chain of
-            :func:`~repro.markov.fallback.solve_steady_state` (use
-            :meth:`steady_state_report` to also see which stage won and
-            why).
+            ``"gth"`` (default, dense, stiffness-proof), ``"direct"``,
+            ``"power"``, ``"gmres"``, ``"bicgstab"`` or ``"auto"``, all
+            solved by :func:`~repro.markov.fallback.solve_steady_state`
+            with its validation, irreducibility check and residual guard
+            (:meth:`steady_state_report` also shows which stage won).
         diagnostics:
             ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
             :mod:`repro.analyze` lint pass (steady-state query, so
@@ -205,38 +197,8 @@ class CTMC:
             run_diagnostics(
                 self, diagnostics, query="steady_state", where="CTMC.steady_state"
             )
-        q = self.generator()
-        if method == "auto":
-            from .fallback import solve_steady_state
-
-            pi = solve_steady_state(q, method="auto").pi
-            return {state: float(pi[i]) for state, i in self._index.items()}
-        kernels = {
-            "gth": lambda: gth_solve(q.toarray()),
-            "direct": lambda: steady_state_direct(q),
-            "power": lambda: steady_state_power(q),
-        }
-        if method not in kernels:
-            from .registry import STEADY_STATE
-
-            if method in STEADY_STATE:
-                # Registry backends (gmres, bicgstab, third-party) run
-                # through the guarded fallback front door as a
-                # single-stage chain.
-                from .fallback import solve_steady_state
-
-                pi = solve_steady_state(q, method=method).pi
-                return {state: float(pi[i]) for state, i in self._index.items()}
-            raise SolverError(f"unknown steady-state method {method!r}")
-        tracer = get_tracer()
-        with tracer.span(
-            "solver.steady_state", method=method, n_states=self.n_states
-        ):
-            with tracer.span("solver.stage", method=method) as span:
-                pi = kernels[method]()
-                span.set(success=True)
-            tracer.metrics.counter("solver.stage.success", method=method).inc()
-        return {state: float(pi[i]) for state, i in self._index.items()}
+        pi = solve_steady_state(self.generator(), method=method).pi
+        return dict(zip(self._states, pi.tolist()))
 
     def steady_state_report(self, method: str = "auto", **kwargs):
         """Stationary solve with full fallback diagnostics.
@@ -244,11 +206,9 @@ class CTMC:
         Runs :func:`~repro.markov.fallback.solve_steady_state` on the
         generator and returns its :class:`~repro.markov.fallback.SolverReport`
         (``report.pi`` follows :attr:`states` order; extra keyword
-        arguments — ``order``, ``residual_tol``, ``stages``, ... — are
+        arguments — ``iterative_limit``, ``stages``, ``x0``, ... — are
         forwarded).
         """
-        from .fallback import solve_steady_state
-
         return solve_steady_state(self.generator(), method=method, **kwargs)
 
     def expected_reward_rate(
@@ -278,10 +238,8 @@ class CTMC:
         initial:
             A state label or a mapping state → probability.
         method:
-            ``"uniformization"`` (default, error-controlled), ``"ode"``
-            (``scipy.integrate.solve_ivp``, the E09 ablation), or
-            ``"auto"`` — delegate the choice to
-            :func:`~repro.markov.solvers.solve_transient`.
+            ``"uniformization"`` (default, error-controlled) or any other
+            :func:`~repro.markov.solvers.solve_transient` method.
         diagnostics:
             ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
             :mod:`repro.analyze` lint pass (transient query: absorbing
@@ -296,26 +254,10 @@ class CTMC:
         scalar = np.isscalar(times)
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         p0 = self._initial_vector(initial)
-        q = self.generator()
-        if method in ("auto", "uniformization"):
-            probs = solve_transient(q, p0, ts, method=method, tol=tol)
-        elif method == "ode":
-            probs = self._transient_ode(q, p0, ts, tol)
-        else:
-            from .registry import TRANSIENT
-
-            if method not in TRANSIENT:
-                raise SolverError(f"unknown transient method {method!r}")
-            probs = solve_transient(q, p0, ts, method=method, tol=tol)
+        probs = solve_transient(self.generator(), p0, ts, method=method, tol=tol)
         if scalar:
-            return {state: float(probs[0, i]) for state, i in self._index.items()}
+            return dict(zip(self._states, probs[0].tolist()))
         return probs
-
-    @staticmethod
-    def _transient_ode(
-        q: sparse.spmatrix, p0: np.ndarray, ts: np.ndarray, tol: float
-    ) -> np.ndarray:
-        return transient_ode(q, p0, ts, tol=tol)
 
     def cumulative_transient(self, times, initial, tol: float = 1e-10) -> np.ndarray:
         """Expected total time spent in each state during ``[0, t]``.

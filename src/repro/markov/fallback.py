@@ -1,32 +1,32 @@
-"""Robust steady-state solving: pre-flight checks + solver fallback chains.
+"""The steady-state front door: pre-flight checks + a solver fallback chain.
 
-The three steady-state kernels fail differently: GTH is stiffness-proof
-but dense and O(n³); SuperLU is fast for large sparse chains but can
-lose the solution on extreme stiffness; power iteration is memory-light
-but converges slowly when the subdominant eigenvalue hugs 1.  A
-dependability toolchain should not make the user learn this the hard
-way, so :func:`solve_steady_state` pre-checks the generator
-(:func:`generator_diagnostics` — row sums, irreducibility via strongly
-connected components, stiffness ratio), picks an order, and walks the
-chain GTH → sparse-direct → power with NaN/Inf and residual guards
-between stages.  Every attempt is recorded in a structured
-:class:`SolverReport`, so a production sweep can log *why* a point was
-solved by the second-choice method instead of silently diverging.
+Every steady-state solve in :mod:`repro.markov` goes through
+:func:`solve_steady_state`.  The kernels fail differently: GTH is
+stiffness-proof but dense and O(n³); SuperLU is fast for large sparse
+chains but can lose the solution on extreme stiffness; power iteration
+is memory-light but slow when the subdominant eigenvalue hugs 1.  So the
+front door validates the generator once (on the dense copy GTH
+eliminates, or the CSR arrays), rejects reducible chains, walks a chain
+of kernels from :data:`~repro.markov.registry.STEADY_STATE` with NaN/Inf
+and residual guards between stages, and records every attempt in a
+structured :class:`SolverReport`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from ..analyze.markov import STIFFNESS_THRESHOLD
 from ..exceptions import ModelDefinitionError, ReproError, SolverError
 from ..obs.trace import get_tracer
-from .registry import STEADY_STATE, SolverMethod, consume_iterations
+from .registry import GTH_DENSE_LIMIT, STEADY_STATE, SolverMethod, consume_iterations
 from .solvers import validate_generator
 
 __all__ = [
@@ -38,9 +38,18 @@ __all__ = [
     "solve_steady_state",
 ]
 
-#: States up to which the ``"auto"`` chain leads with dense GTH; compiled
-#: chains solve with GTH on their filled buffer up to the same size.
+#: States up to which the front door validates the dense copy GTH
+#: eliminates and ``"auto"`` leads with GTH (compiled chains too).
 DENSE_LIMIT = 2_000
+
+#: A stage's vector is accepted when its relative residual
+#: ``‖π Q‖∞ / max(1, max rate)`` is at most this.
+RESIDUAL_TOL = 1e-8
+
+#: A non-negative stage vector whose sum is this close to 1 is returned
+#: as the kernel produced it, so a GTH answer keeps the bits of a direct
+#: :func:`~repro.markov.solvers.gth_solve` call.
+_NORMALIZED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,20 +59,17 @@ class GeneratorDiagnostics:
     Attributes
     ----------
     n_states / nnz:
-        Dimension and stored off-diagonal entry count.
+        Dimension and nonzero off-diagonal entry count.
     max_rate / min_rate:
         Largest and smallest positive off-diagonal rate.
     stiffness_ratio:
-        ``max_rate / min_rate`` — availability models routinely span
-        8–10 orders of magnitude (failures per 1e5 h vs repairs per
-        hour), the regime where naive elimination loses precision and
-        GTH must lead the fallback chain.
+        ``max_rate / min_rate`` — availability models span 8–10 orders
+        of magnitude, where naive elimination loses precision.
     max_row_sum_error:
         Largest absolute row sum (0 for an exact generator).
     n_strong_components:
-        Number of strongly connected components of the transition
-        structure; 1 means irreducible, the precondition for a unique
-        stationary vector.
+        Strongly connected components of the transition structure; 1
+        means irreducible, so the stationary vector is unique.
     """
 
     n_states: int
@@ -80,35 +86,47 @@ class GeneratorDiagnostics:
         return self.n_strong_components == 1
 
 
+def _as_csr(generator) -> sparse.csr_matrix:
+    q = generator
+    if not (sparse.issparse(q) and q.format == "csr" and q.dtype == float):
+        q = sparse.csr_matrix(generator, dtype=float)
+    if not q.has_canonical_format:  # duplicate entries add up
+        q = q.copy()
+        q.sum_duplicates()
+    return q
+
+
 def generator_diagnostics(generator) -> GeneratorDiagnostics:
     """Compute :class:`GeneratorDiagnostics` for a dense or sparse generator.
 
     Purely observational — never raises on a defective generator (use
-    :func:`~repro.markov.solvers.validate_generator` to enforce).
+    :func:`~repro.markov.solvers.validate_generator` to enforce).  Works
+    on the CSR arrays; only stored zero rates cost a pruned copy.
     """
-    q = sparse.csr_matrix(generator, dtype=float)
+    q = _as_csr(generator)
     n = q.shape[0]
-    off = q - sparse.diags(q.diagonal())
-    off.eliminate_zeros()
-    positive = off.data[off.data > 0.0]
+    rows = np.repeat(np.arange(n), np.diff(q.indptr))
+    off = q.data[q.indices != rows]
+    positive = off[off > 0.0]
     max_rate = float(positive.max()) if positive.size else 0.0
     min_rate = float(positive.min()) if positive.size else 0.0
     stiffness = max_rate / min_rate if min_rate > 0.0 else float("inf") if max_rate else 1.0
-    row_sums = np.asarray(q.sum(axis=1)).ravel()
+    row_sums = np.bincount(rows, weights=q.data, minlength=n)
     max_row_err = float(np.abs(row_sums).max()) if row_sums.size else 0.0
-    n_components = (
-        int(csgraph.connected_components(off, directed=True, connection="strong")[0])
-        if n
-        else 0
-    )
+    nnz = int(np.count_nonzero(off))
+    graph = q
+    if nnz < off.size:  # csgraph reads a stored zero as an edge
+        graph = q.copy()
+        graph.eliminate_zeros()
+    n_components = csgraph.connected_components(graph, connection="strong", return_labels=False)
     return GeneratorDiagnostics(
         n_states=n,
-        nnz=int(off.nnz),
+        nnz=nnz,
         max_rate=max_rate,
         min_rate=min_rate,
         stiffness_ratio=float(stiffness),
         max_row_sum_error=max_row_err,
-        n_strong_components=n_components,
+        n_strong_components=int(n_components),
     )
 
 
@@ -119,22 +137,22 @@ class SolverAttempt:
     Attributes
     ----------
     method:
-        Stage name (``"gth"``, ``"direct"``, ``"power"`` or a custom
-        stage key).
+        Stage name (``"gth"``, ``"direct"``, ``"power"``, ``"gmres"``,
+        ``"bicgstab"`` or a ``stages=`` override key).
     success:
         Whether the stage produced a vector that passed the guards.
     duration:
         Wall-clock seconds spent in the stage.
     residual:
-        Relative residual ``‖π Q‖∞ / max(1, max|Q|)`` of the produced
+        Relative residual ``‖π Q‖∞ / max(1, max rate)`` of the produced
         vector (``NaN`` when the stage raised before producing one).
     error:
         ``"ExceptionType: message"`` for a failed stage, ``None`` on
         success.
     iterations:
         Krylov iterations the stage spent (``None`` for direct stages
-        and kernels that don't report a count) — the number the
-        preconditioner-refresh policy and tolerance tuning read.
+        and kernels that don't report a count), as published by
+        :func:`~repro.markov.registry.record_iterations`.
     """
 
     method: str
@@ -154,7 +172,7 @@ class SolverReport:
         The stationary vector (``None`` only while the report is under
         construction; a returned report always carries a solution).
     strategy:
-        The strategy string the caller asked for.
+        The ``method`` the caller asked for.
     order:
         The stage order actually walked.
     attempts:
@@ -185,13 +203,14 @@ class SolverReport:
         """Whether a stage succeeded."""
         return self.pi is not None
 
+    def _winner(self) -> Optional[SolverAttempt]:
+        return next((a for a in self.attempts if a.success), None)
+
     @property
     def method(self) -> Optional[str]:
         """Name of the winning stage (``None`` if every stage failed)."""
-        for attempt in self.attempts:
-            if attempt.success:
-                return attempt.method
-        return None
+        winner = self._winner()
+        return winner.method if winner else None
 
     @property
     def fallbacks_used(self) -> int:
@@ -201,10 +220,8 @@ class SolverReport:
     @property
     def iterations(self) -> Optional[int]:
         """Krylov iterations of the winning stage (``None`` if unknown)."""
-        for attempt in self.attempts:
-            if attempt.success:
-                return attempt.iterations
-        return None
+        winner = self._winner()
+        return winner.iterations if winner else None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of the solve — the :class:`~repro.obs.Observation`
@@ -224,7 +241,7 @@ class SolverReport:
 
     def summary(self) -> Dict[str, float]:
         """Flat dict of the headline numbers (handy for table printing)."""
-        winning = next((a for a in self.attempts if a.success), None)
+        winning = self._winner()
         return {
             "n_states": float(self.diagnostics.n_states),
             "stiffness_ratio": self.diagnostics.stiffness_ratio,
@@ -245,9 +262,38 @@ class SolverReport:
         )
 
 
-def _relative_residual(q: sparse.csr_matrix, pi: np.ndarray, max_rate: float) -> float:
-    residual = np.abs(q.transpose().tocsr() @ pi)
-    return float(residual.max()) / max(1.0, max_rate)
+#: What a failing stage may raise; anything else is a bug and propagates.
+_STAGE_FAILURES = (ReproError, np.linalg.LinAlgError, ValueError, ArithmeticError, RuntimeError)
+
+
+def _guarded(
+    pi, q: sparse.csr_matrix, dense: Optional[np.ndarray], max_rate: float
+) -> Tuple[np.ndarray, float]:
+    """A stage's vector, normalized, and its relative residual.
+
+    Raises :class:`~repro.exceptions.SolverError` when the vector is
+    misshapen, non-finite, negative, zero or not stationary.
+    """
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (q.shape[0],):
+        raise SolverError(f"stage returned shape {pi.shape}, expected ({q.shape[0]},)")
+    total = float(pi.sum())
+    if not math.isfinite(total):
+        raise SolverError("stage produced non-finite probabilities")
+    low = float(pi.min())
+    if low < -1e-12:
+        raise SolverError(f"stage produced negative probability {low:.3g}")
+    if total <= 0.0:
+        raise SolverError("stage produced a zero vector")
+    if low < 0.0 or abs(total - 1.0) > _NORMALIZED_TOL:
+        pi = np.maximum(pi, 0.0) / total
+    residual = float(np.abs(pi @ dense if dense is not None else q.T @ pi).max())
+    residual /= max(1.0, max_rate)
+    if residual > RESIDUAL_TOL:
+        raise SolverError(
+            f"stage residual {residual:.3g} exceeds tolerance {RESIDUAL_TOL:.3g}"
+        )
+    return pi, residual
 
 
 def require_irreducible(diagnostics: GeneratorDiagnostics) -> None:
@@ -269,10 +315,6 @@ def require_irreducible(diagnostics: GeneratorDiagnostics) -> None:
 def solve_steady_state(
     generator,
     method: str = "auto",
-    order: Optional[Sequence[str]] = None,
-    residual_tol: float = 1e-8,
-    dense_limit: int = DENSE_LIMIT,
-    stiffness_threshold: float = 1e8,
     iterative_limit: int = 50_000,
     stages: Optional[Mapping[str, Callable]] = None,
     diagnostics: str = "ignore",
@@ -284,61 +326,42 @@ def solve_steady_state(
     ----------
     generator:
         Dense or sparse CTMC generator.  Validated up front
-        (:func:`~repro.markov.solvers.validate_generator`) and checked
-        for irreducibility — a reducible chain has no unique stationary
-        vector and raises
-        :class:`~repro.exceptions.ModelDefinitionError` before any
-        solver runs.
+        (:func:`~repro.markov.solvers.validate_generator`, on the dense
+        copy GTH eliminates up to :data:`DENSE_LIMIT` states and on the
+        CSR arrays above) and checked for irreducibility: a reducible
+        chain raises :class:`~repro.exceptions.ModelDefinitionError`
+        before any kernel runs, whatever the ``method``.
     method:
-        ``"auto"`` (default) walks a fallback chain ordered by the
-        diagnostics: GTH first for chains that are small
-        (``n <= dense_limit``) or stiff
-        (``stiffness_ratio >= stiffness_threshold``), sparse-direct
-        first for large well-conditioned chains, and preconditioned
-        Krylov iteration (``gmres`` → ``bicgstab`` → ``power``) above
-        ``iterative_limit`` states, where factorizations stop being
-        affordable.  Any single method name registered in
-        :data:`repro.markov.registry.STEADY_STATE` — the built-ins
-        ``"gth"`` / ``"direct"`` / ``"power"`` / ``"gmres"`` /
-        ``"bicgstab"`` or a third-party backend added with
-        ``register_method`` — runs as a one-stage chain (guards still
-        applied).  Matches the ``method=`` kwarg of
-        :meth:`repro.CTMC.steady_state`.
-    order:
-        Explicit stage order overriding the heuristic (implies
-        ``"auto"`` semantics).
-    residual_tol:
-        Guard between stages: a stage's vector is accepted only when it
-        is finite, non-negative and normalizable with relative residual
-        ``‖π Q‖∞ / max(1, max|Q|) <= residual_tol``; otherwise the next
-        stage runs.
-    dense_limit / stiffness_threshold / iterative_limit:
-        Knobs of the ``"auto"`` ordering heuristic.
+        ``"auto"`` (default) walks a chain ordered by the diagnostics:
+        ``gth → direct → power`` up to :data:`DENSE_LIMIT` states or
+        when the stiffness ratio reaches
+        :data:`~repro.analyze.markov.STIFFNESS_THRESHOLD`,
+        ``direct → power → gth`` above, ``gmres → bicgstab → power``
+        above ``iterative_limit`` states; GTH drops out above
+        :data:`~repro.markov.registry.GTH_DENSE_LIMIT`.  Any name in
+        :data:`~repro.markov.registry.STEADY_STATE` runs as a one-stage
+        chain, guards still applied.
+    iterative_limit:
+        States above which ``"auto"`` switches to Krylov iteration.
     stages:
-        Optional overrides ``{name: callable}`` for individual stages —
-        the injection point used by the fault-injection harness
-        (:class:`~repro.robust.FailingCallable`) to force and test
-        fallbacks.  Overridden stages run exactly as given, without the
-        registered method's pre-checks.
+        Overrides ``{name: callable}``, each called as ``stage(q)`` on
+        the CSR generator — the fault-injection hook
+        (:class:`~repro.robust.FailingCallable`); a new name is also
+        accepted as ``method``.
     diagnostics:
         ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
-        full :mod:`repro.analyze` lint pass (steady-state query) before
-        solving.  Independent of the hard pre-flight validation, which
-        always runs.
+        full :mod:`repro.analyze` lint pass (steady-state query) first.
     x0:
-        Optional warm-start vector forwarded to stages whose registered
-        :class:`~repro.markov.registry.SolverMethod` declares
-        ``accepts_x0`` (the Krylov backends).  Direct stages ignore it,
-        so a chain stays correct when a warm-started iterative stage
-        falls back to GTH.  Stage iteration counts land on
-        ``SolverAttempt.iterations`` either way.
+        Optional warm start for the Krylov stages (direct stages ignore
+        it).
 
     Returns
     -------
-    A :class:`SolverReport` whose ``pi`` holds the stationary vector and
-    whose ``attempts`` record every stage tried.  Raises
+    A :class:`SolverReport` whose ``pi`` holds the first stage vector
+    that is finite, non-negative, normalizable and within
+    :data:`RESIDUAL_TOL`.  When every stage fails, raises
     :class:`~repro.exceptions.SolverError` carrying the report as its
-    ``report`` attribute when every stage fails.
+    ``report`` attribute.
 
     Examples
     --------
@@ -350,140 +373,76 @@ def solve_steady_state(
     >>> np.round(report.pi, 8).tolist()
     [0.66666667, 0.33333333]
     """
-    q = sparse.csr_matrix(generator, dtype=float)
+    q = _as_csr(generator)
     if diagnostics != "ignore":
         from ..analyze import run_diagnostics
 
         run_diagnostics(q, diagnostics, query="steady_state", where="solve_steady_state")
+    n = q.shape[0]
     validation_start = time.perf_counter()
-    validate_generator(q)
+    # GTH eliminates a dense copy anyway: validate that copy instead of
+    # scanning the CSR arrays a second time.
+    dense = q.toarray() if n <= DENSE_LIMIT and method in ("auto", "gth") else None
+    validate_generator(q if dense is None else dense)
     validation_seconds = time.perf_counter() - validation_start
-    diagnostics = generator_diagnostics(q)
-    require_irreducible(diagnostics)
+    diag = generator_diagnostics(q)
+    require_irreducible(diag)
 
-    known: Dict[str, Callable] = dict(STEADY_STATE.stages())
+    known: Dict[str, Callable] = STEADY_STATE.stages()
     if stages:
-        # Explicit overrides (fault injection, experiments) replace the
-        # whole stage including its pre-checks.
         known.update(stages)
-    if order is not None:
-        chain = tuple(STEADY_STATE.resolve(name) if name not in known else name
-                      for name in order)
-    elif method == "auto":
-        if diagnostics.n_states > iterative_limit:
-            chain = ("gmres", "bicgstab", "power")
-        elif (
-            diagnostics.n_states <= dense_limit
-            or diagnostics.stiffness_ratio >= stiffness_threshold
-        ):
+    if method == "auto":
+        if n > iterative_limit:
+            chain: Tuple[str, ...] = ("gmres", "bicgstab", "power")
+        elif n <= DENSE_LIMIT or diag.stiffness_ratio >= STIFFNESS_THRESHOLD:
             chain = ("gth", "direct", "power")
         else:
             chain = ("direct", "power", "gth")
-        # Methods whose supports-predicate rejects this chain drop out of
-        # the auto ordering (an explicit method= still runs them).
-        chain = tuple(
-            name
-            for name in chain
-            if not (
-                isinstance(known.get(name), SolverMethod)
-                and known[name].supports is not None
-                and not known[name].supports(diagnostics)
-            )
-        )
-    elif STEADY_STATE.resolve(method) in known:
-        chain = (STEADY_STATE.resolve(method),)
+        if n > GTH_DENSE_LIMIT:
+            chain = tuple(name for name in chain if name != "gth")
+    elif method in known:
+        chain = (method,)
     else:
-        raise SolverError(
-            f"unknown method {method!r}; use 'auto', one of "
-            f"{sorted(known)}, or pass an explicit order"
-        )
-    unknown = [name for name in chain if name not in known]
-    if unknown:
-        raise SolverError(f"unknown solver stage(s) {unknown}; known: {sorted(known)}")
+        raise SolverError(f"unknown method {method!r}; use 'auto' or one of {sorted(known)}")
 
     tracer = get_tracer()
-    report = SolverReport(method, chain, diagnostics, validation_seconds)
+    report = SolverReport(method, chain, diag, validation_seconds)
     with tracer.span(
-        "solver.steady_state",
-        method=method,
-        n_states=diagnostics.n_states,
-        stiffness_ratio=diagnostics.stiffness_ratio,
+        "solver.steady_state", method=method, n_states=n, stiffness_ratio=diag.stiffness_ratio
     ) as outer_span:
         for name in chain:
-            start = time.perf_counter()
             stage = known[name]
-            stage_kwargs = {}
-            if (
-                x0 is not None
-                and isinstance(stage, SolverMethod)
-                and stage.accepts_x0
-            ):
-                stage_kwargs["x0"] = x0
+            start = time.perf_counter()
             consume_iterations()  # clear any stale count from this thread
             with tracer.span("solver.stage", method=name) as span:
                 try:
-                    pi = np.asarray(stage(q, **stage_kwargs), dtype=float)
-                    if pi.shape != (diagnostics.n_states,):
-                        raise SolverError(
-                            f"stage returned shape {pi.shape}, expected ({diagnostics.n_states},)"
-                        )
-                    if not np.all(np.isfinite(pi)):
-                        raise SolverError("stage produced non-finite probabilities")
-                    if float(pi.min()) < -1e-12:
-                        raise SolverError(
-                            f"stage produced negative probability {pi.min():.3g}"
-                        )
-                    total = float(pi.sum())
-                    if total <= 0.0:
-                        raise SolverError("stage produced a zero vector")
-                    pi = np.maximum(pi, 0.0) / total
-                    residual = _relative_residual(q, pi, diagnostics.max_rate)
-                    if residual > residual_tol:
-                        raise SolverError(
-                            f"stage residual {residual:.3g} exceeds tolerance "
-                            f"{residual_tol:.3g}"
-                        )
-                except (
-                    ReproError,
-                    np.linalg.LinAlgError,
-                    ValueError,
-                    ArithmeticError,
-                    RuntimeError,
-                ) as exc:
+                    raw = stage.fn(q, dense, x0) if isinstance(stage, SolverMethod) else stage(q)
+                    pi, residual = _guarded(raw, q, dense, diag.max_rate)
+                except _STAGE_FAILURES as exc:
+                    error = f"{type(exc).__name__}: {exc}"
                     report.attempts.append(
-                        SolverAttempt(
-                            method=name,
-                            success=False,
-                            duration=time.perf_counter() - start,
-                            error=f"{type(exc).__name__}: {exc}",
-                            iterations=consume_iterations(),
-                        )
+                        SolverAttempt(name, False, time.perf_counter() - start,
+                                      error=error, iterations=consume_iterations())
                     )
-                    span.set(success=False, error=f"{type(exc).__name__}: {exc}")
+                    span.set(success=False, error=error)
                     tracer.metrics.counter("solver.stage.failure", method=name).inc()
                     continue
                 report.attempts.append(
-                    SolverAttempt(
-                        method=name,
-                        success=True,
-                        duration=time.perf_counter() - start,
-                        residual=residual,
-                        iterations=consume_iterations(),
-                    )
+                    SolverAttempt(name, True, time.perf_counter() - start,
+                                  residual=residual, iterations=consume_iterations())
                 )
                 span.set(success=True, residual=residual)
                 tracer.metrics.counter("solver.stage.success", method=name).inc()
                 if report.fallbacks_used:
                     tracer.metrics.counter("solver.fallbacks").inc(report.fallbacks_used)
-            if report.attempts[-1].success:
-                report.pi = pi
-                outer_span.observe(report, key="solver_report")
-                return report
+            report.pi = pi
+            outer_span.observe(report, key="solver_report")
+            return report
 
     trail = "; ".join(f"{a.method}: {a.error}" for a in report.attempts)
     error = SolverError(
-        f"every steady-state stage failed for the {diagnostics.n_states}-state "
-        f"chain (stiffness {diagnostics.stiffness_ratio:.3g}): {trail}"
+        f"every steady-state stage failed for the {n}-state "
+        f"chain (stiffness {diag.stiffness_ratio:.3g}): {trail}"
     )
     error.report = report
     raise error

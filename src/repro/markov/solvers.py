@@ -30,6 +30,7 @@ from scipy import integrate as scipy_integrate
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from ..analyze.markov import generator_defects
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
 from ..obs.trace import get_tracer
 
@@ -44,7 +45,13 @@ __all__ = [
     "transient_uniformization",
     "transient_ode",
     "cumulative_uniformization",
+    "MAX_UNIFORMIZATION_TERMS",
 ]
+
+#: Poisson terms a uniformization kernel may store (one vector each).
+#: Past it :func:`transient_uniformization` hands off to Krylov stepping
+#: and :func:`cumulative_uniformization` refuses.
+MAX_UNIFORMIZATION_TERMS = 100_000
 
 
 def validate_generator(generator, tol: float = 1e-8) -> int:
@@ -70,8 +77,6 @@ def validate_generator(generator, tol: float = 1e-8) -> int:
     """
     if tol < 0.0:
         raise ModelDefinitionError(f"tolerance must be >= 0, got {tol}")
-    from ..analyze.markov import generator_defects
-
     n, defects = generator_defects(generator, tol)
     if defects:
         raise ModelDefinitionError(defects[0].message)
@@ -108,21 +113,25 @@ def gth_solve(generator: np.ndarray, validated: bool = False) -> np.ndarray:
         return np.ones(1)
 
     # Work with the off-diagonal rates only; diagonals are implicit.
-    np.fill_diagonal(a, 0.0)
+    a.flat[:: n + 1] = 0.0
+    totals = np.empty(n)
     for k in range(n - 1, 0, -1):
-        total = a[k, :k].sum()
+        row = a[k, :k]
+        total = row.sum()
         if total <= 0.0:
             raise SolverError(
                 "GTH elimination hit a state with no transitions back into the "
                 "remaining block; the chain is not irreducible"
             )
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k]) / total
+        # Row k is final from here on: later steps only touch rows < k,
+        # so the back-substitution reuses this sum.
+        totals[k] = total
+        a[:k, :k] += a[:k, k, None] * row / total
 
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
-        total = a[k, :k].sum()
-        pi[k] = float(pi[:k] @ a[:k, k]) / total
+        pi[k] = float(pi[:k] @ a[:k, k]) / totals[k]
     pi /= pi.sum()
     return pi
 
@@ -366,7 +375,7 @@ def transient_uniformization(
     initial: np.ndarray,
     times: np.ndarray,
     tol: float = 1e-10,
-    max_terms: int = 100_000,
+    max_terms: int = MAX_UNIFORMIZATION_TERMS,
 ) -> np.ndarray:
     """Transient state probabilities π(t) = π(0) e^{Qt} by uniformization.
 
@@ -458,7 +467,7 @@ def solve_transient(
     times: np.ndarray,
     method: str = "auto",
     tol: float = 1e-10,
-    max_terms: int = 100_000,
+    max_terms: int = MAX_UNIFORMIZATION_TERMS,
     diagnostics: str = "ignore",
 ) -> np.ndarray:
     """Unified front door for transient analysis π(t) = π(0) e^{Qt}.
@@ -473,10 +482,10 @@ def solve_transient(
         ``"auto"`` (default) — uniformization for chains up to 50 000
         states (with its built-in Krylov/ODE escape hatch for huge
         ``Λt``), Krylov ``expm_multiply`` stepping above; or any name
-        registered in :data:`repro.markov.registry.TRANSIENT` —
-        ``"uniformization"``, ``"ode"``, ``"krylov"`` (alias
-        ``"expm_multiply"``) or a third-party backend added with
-        ``register_method``.
+        in :data:`repro.markov.registry.TRANSIENT` —
+        ``"uniformization"``, ``"ode"``, ``"krylov"`` or
+        ``"expm_multiply"``.  An unknown name raises
+        :class:`~repro.exceptions.SolverError`.
     tol:
         Truncation-error bound (uniformization) or integration tolerance
         (ODE); advisory for Krylov stepping, which controls its own
@@ -500,13 +509,7 @@ def solve_transient(
     if method == "auto":
         n = generator.shape[0]
         method = "krylov" if n > TRANSIENT_KRYLOV_LIMIT else "uniformization"
-    try:
-        kernel = TRANSIENT.get(method)
-    except SolverError:
-        raise ModelDefinitionError(
-            f"unknown transient method {method!r}; use 'auto' or one of "
-            f"{sorted(TRANSIENT.names())}"
-        ) from None
+    kernel = TRANSIENT.get(method).fn
     return kernel(generator, initial, times, tol=tol, max_terms=max_terms)
 
 
@@ -523,7 +526,10 @@ def cumulative_uniformization(
         L(t) = (1/Λ) Σ_k  [1 - Σ_{j<=k} pois(j; Λt)] · π(0) P^k
 
     Truncation is controlled so the 1-norm error of ``L(t)`` is below
-    ``tol * t``.
+    ``tol * t``.  Every Poisson term's vector is stored, so a series
+    longer than :data:`MAX_UNIFORMIZATION_TERMS` raises
+    :class:`~repro.exceptions.SolverError` (naming ``Λt``) before any
+    vector is built.
 
     Returns an array of shape ``(len(times), n)``; row sums equal ``t``.
     """
@@ -534,12 +540,23 @@ def cumulative_uniformization(
     pt = p.transpose().tocsr()
     n = p.shape[0]
     initial = np.asarray(initial, dtype=float)
+    if initial.shape != (n,):
+        raise SolverError(f"initial vector has shape {initial.shape}, expected ({n},)")
 
     out = np.empty((times.size, n))
-    max_time = float(times.max()) if times.size else 0.0
+    lam_t_max = lam * (float(times.max()) if times.size else 0.0)
     # The tail weights decay like the Poisson tail; adding a margin to the
-    # truncation point keeps the integrated error within tolerance.
-    k_max = _truncation_point_cached(lam * max_time, tol * 1e-3) + 10
+    # truncation point keeps the integrated error within tolerance.  That
+    # point exceeds Λt, so a Λt past the limit is refused without the walk.
+    k_max = MAX_UNIFORMIZATION_TERMS + 1
+    if lam_t_max < MAX_UNIFORMIZATION_TERMS:
+        k_max = _truncation_point_cached(lam_t_max, tol * 1e-3) + 10
+    if k_max > MAX_UNIFORMIZATION_TERMS:
+        raise SolverError(
+            f"cumulative uniformization at Λt={lam_t_max:.6g} needs more than "
+            f"{MAX_UNIFORMIZATION_TERMS} Poisson terms, one stored vector "
+            f"each; shorten the horizon"
+        )
 
     vectors = [initial]
     vec = initial

@@ -15,6 +15,7 @@ from repro.compile import CompiledCTMC
 from repro.compile.ctmc import Complement, Const, Param, Scaled, Times
 from repro.exceptions import DistributionError, ModelDefinitionError
 from repro.markov.ctmc import CTMC
+from repro.markov.fallback import solve_steady_state
 from repro.markov.solvers import solve_transient
 
 
@@ -90,13 +91,16 @@ class TestSolve:
         cc = compiled_pair()
         for values in POINTS:
             pi = cc.steady_state(values)
-            reference = build_pair(**values).steady_state(method=method)
+            chain = build_pair(**values)
+            reference = chain.steady_state(method=method)
+            front_door = solve_steady_state(chain.generator(), method=method).pi
             for state in (2, 1, 0):
                 assert bits(pi[cc.index_of(state)]) == bits(reference[state]), (
                     method,
                     values,
                     state,
                 )
+                assert bits(front_door[chain.index_of(state)]) == bits(reference[state])
 
     def test_front_door_above_dense_limit(self):
         cc = compiled_pair()

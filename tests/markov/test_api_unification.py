@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.exceptions import ModelDefinitionError, SolverError
+from repro.exceptions import SolverError
 from repro.markov import CTMC, solve_steady_state, solve_transient
 
 TWO_STATE = np.array([[-1e-3, 1e-3], [0.5, -0.5]])
@@ -48,7 +48,7 @@ class TestTransientFrontDoor:
         np.testing.assert_allclose(ode, uni, atol=1e-7)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ModelDefinitionError, match="transient method"):
+        with pytest.raises(SolverError, match="transient method"):
             solve_transient(TWO_STATE, self.initial, self.times, method="magic")
 
     def test_ctmc_transient_accepts_auto(self):

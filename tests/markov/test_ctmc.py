@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from repro.markov import CTMC, MarkovDependabilityModel
+from repro.markov.registry import STEADY_STATE
+from repro.markov.solvers import cumulative_uniformization
 
 
 def two_state(lam=1.0, mu=9.0):
@@ -45,6 +48,24 @@ class TestConstruction:
         with pytest.raises(Exception):
             CTMC().add_transition("a", "b", -1.0)
 
+    def test_generator_matches_the_coo_build(self):
+        # Reference: scipy's COO → CSR conversion of the same triplets.
+        chain = shared_repair()
+        chain.add_transition(0, 2, 0.25)
+        q = chain.generator()
+        n = chain.n_states
+        diag = np.zeros(n)
+        np.subtract.at(diag, chain._coo_rows, chain._coo_vals)
+        ref = sparse.csr_matrix(
+            (
+                np.r_[chain._coo_vals, diag],
+                (np.r_[chain._coo_rows, range(n)], np.r_[chain._coo_cols, range(n)]),
+            ),
+            shape=(n, n),
+        )
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(q, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+
     def test_generator_rows_sum_to_zero(self):
         q = shared_repair().generator().toarray()
         np.testing.assert_allclose(q.sum(axis=1), 0.0, atol=1e-15)
@@ -69,10 +90,21 @@ class TestSteadyState:
         assert pi["up"] == pytest.approx(0.9)
         assert pi["down"] == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("method", ["gth", "direct", "power"])
+    @pytest.mark.parametrize("method", [*STEADY_STATE.names(), "auto"])
     def test_methods_agree(self, method):
         pi = shared_repair().steady_state(method)
         assert pi[2] + pi[1] == pytest.approx(0.99980396, abs=1e-8)
+
+    @pytest.mark.parametrize("method", [*STEADY_STATE.names(), "auto"])
+    def test_reducible_chain_rejected_by_every_method(self, method):
+        # two closed classes {a, b} and {c, d}: no unique stationary vector
+        chain = CTMC()
+        chain.add_transition("a", "b", 1.0)
+        chain.add_transition("b", "a", 2.0)
+        chain.add_transition("c", "d", 3.0)
+        chain.add_transition("d", "c", 1.0)
+        with pytest.raises(ModelDefinitionError, match="not irreducible"):
+            chain.steady_state(method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SolverError):
@@ -119,6 +151,18 @@ class TestTransient:
         chain = two_state()
         cum = chain.cumulative_transient([2.0], "up")
         assert cum[0].sum() == pytest.approx(2.0, rel=1e-8)
+
+    def test_cumulative_refuses_an_overlong_series(self):
+        # Λt ≈ 1e6 Poisson terms: refused before any vector is stored
+        chain = two_state(1e2, 1e3)
+        with pytest.raises(SolverError, match="Λt="):
+            chain.cumulative_transient([1000.0], "up")
+
+    def test_cumulative_rejects_a_misshapen_initial_vector(self):
+        q = two_state().generator()
+        with pytest.raises(SolverError, match="initial vector has shape"):
+            cumulative_uniformization(q, np.array([1.0]), [1.0])
+
 
 
 class TestAbsorbing:

@@ -74,6 +74,14 @@ class TestValidateGenerator:
         q = np.array([[-1e9, 1e9 + 1e-4], [2.0, -2.0]])
         assert validate_generator(q) == 2
 
+    def test_duplicate_sparse_entries_add_up(self):
+        # (0, 1) stored twice, 0.5 and -0.2: one rate of 0.3
+        data = np.array([-0.3, 0.5, -0.2, 2.0, -2.0])
+        q = sparse.csr_matrix((data, [0, 1, 1, 0, 1], [0, 3, 5]), shape=(2, 2))
+        assert validate_generator(q) == 2
+        assert generator_diagnostics(q).min_rate == pytest.approx(0.3)
+        np.testing.assert_allclose(solve_steady_state(q).pi, [2.0 / 2.3, 0.3 / 2.3])
+
     def test_all_solvers_share_the_validation(self):
         from repro.markov import steady_state_direct, steady_state_power
 
@@ -128,12 +136,13 @@ class TestSolveSteadyState:
         assert np.isclose(report.pi.sum(), 1.0)
 
     def test_large_well_conditioned_chain_prefers_direct(self):
-        q = birth_death(50)
-        report = solve_steady_state(q, dense_limit=10)
+        n = 2001  # one state past the dense limit, well conditioned
+        report = solve_steady_state(birth_death(n, lam=1.0, mu=2.0))
         assert report.order[0] == "direct"
         assert report.method == "direct"
-        expected = solve_steady_state(q, method="gth").pi
-        np.testing.assert_allclose(report.pi, expected, atol=1e-10)
+        # closed form: π_k ∝ (λ/μ)^k
+        expected = 0.5 ** np.arange(n)
+        np.testing.assert_allclose(report.pi, expected / expected.sum(), rtol=1e-10, atol=1e-15)
 
     def test_single_stage_methods_agree(self):
         results = {
@@ -185,13 +194,8 @@ class TestSolveSteadyState:
     def test_unknown_method_and_stage_rejected(self):
         with pytest.raises(SolverError, match="method"):
             solve_steady_state(TWO_STATE, method="magic")
-        with pytest.raises(SolverError, match="stage"):
-            solve_steady_state(TWO_STATE, order=["gth", "quantum"])
-
-    def test_explicit_order_is_honoured(self):
-        report = solve_steady_state(TWO_STATE, order=["power", "gth"])
-        assert report.order == ("power", "gth")
-        assert report.method == "power"
+        with pytest.raises(SolverError, match="method 'quantum'"):
+            solve_steady_state(TWO_STATE, method="quantum", stages={"gth": gth_solve})
 
 
 class TestCTMCIntegration:

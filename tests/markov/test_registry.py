@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable solver-method registry."""
+"""Unit tests for the solver tables behind the Markov front doors."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.markov.registry import (
     GTH_DENSE_LIMIT,
     STEADY_STATE,
     TRANSIENT,
-    SolverMethod,
     SolverRegistry,
 )
 
@@ -19,65 +18,21 @@ def q2():
     return sparse.csr_matrix(np.array([[-1.0, 1.0], [2.0, -2.0]]))
 
 
-class TestSolverMethod:
-    def test_pre_checks_run_in_order_before_kernel(self):
-        calls = []
-
-        def check_a(*a, **k):
-            calls.append("a")
-
-        def check_b(*a, **k):
-            calls.append("b")
-
-        def kernel(*a, **k):
-            calls.append("kernel")
-            return "result"
-
-        method = SolverMethod("m", kernel, pre_checks=(check_a, check_b))
-        assert method("arg") == "result"
-        assert calls == ["a", "b", "kernel"]
-
-    def test_failing_pre_check_blocks_kernel(self):
-        ran = []
-
-        def guard(*a, **k):
-            raise SolverError("nope")
-
-        method = SolverMethod("m", lambda *a: ran.append(True), pre_checks=(guard,))
-        with pytest.raises(SolverError, match="nope"):
-            method("arg")
-        assert not ran
-
-
 class TestSolverRegistry:
-    def test_register_resolve_get(self):
-        reg = SolverRegistry("test")
-        reg.register_method("fast", lambda q: q, aliases=("quick",))
-        assert reg.resolve("quick") == "fast"
-        assert "quick" in reg and "fast" in reg
-        assert reg.get("quick") is reg.get("fast")
+    def test_literal_table_get(self):
+        def kernel(q):
+            return q
+
+        reg = SolverRegistry("test", {"fast": kernel})
+        assert "fast" in reg and "quick" not in reg
+        assert reg.get("fast").fn is kernel
+        assert reg.get("fast") is reg.get("fast")
         assert reg.names() == ("fast",)
 
     def test_unknown_method_lists_registered(self):
-        reg = SolverRegistry("test")
-        reg.register_method("only", lambda q: q)
+        reg = SolverRegistry("test", {"only": lambda q: q})
         with pytest.raises(SolverError, match=r"unknown test method 'nope'.*only"):
             reg.get("nope")
-
-    def test_override_guard(self):
-        reg = SolverRegistry("test")
-        reg.register_method("taken", lambda q: 1, aliases=("also",))
-        with pytest.raises(SolverError, match=r"\['taken'\] already registered"):
-            reg.register_method("taken", lambda q: 2)
-        with pytest.raises(SolverError, match="already registered"):
-            reg.register_method("fresh", lambda q: 2, aliases=("also",))
-        assert reg.get("taken")(None) == 1
-
-    def test_replace_overrides(self):
-        reg = SolverRegistry("test")
-        reg.register_method("m", lambda q: 1)
-        reg.register_method("m", lambda q: 2, replace=True)
-        assert reg.get("m")(None) == 2
 
     def test_stages_returns_fresh_dict(self):
         stages = STEADY_STATE.stages()
@@ -96,25 +51,24 @@ class TestBuiltinRegistries:
         }
 
     def test_transient_names_and_alias(self):
-        assert set(TRANSIENT.names()) == {"uniformization", "ode", "krylov"}
-        assert TRANSIENT.resolve("expm_multiply") == "krylov"
+        assert set(TRANSIENT.names()) == {"uniformization", "ode", "krylov", "expm_multiply"}
+        assert TRANSIENT.get("expm_multiply").fn is TRANSIENT.get("krylov").fn
 
     def test_gth_pre_check_refuses_dense_blowup(self):
         n = GTH_DENSE_LIMIT + 1
         huge = sparse.identity(n, format="csr") * 0.0
         with pytest.raises(SolverError, match="dense"):
-            STEADY_STATE.get("gth")(huge)
+            STEADY_STATE.get("gth").fn(huge)
 
-    def test_gth_supports_predicate_bounds_auto(self):
-        method = STEADY_STATE.get("gth")
-
-        class Diag:
-            n_states = GTH_DENSE_LIMIT + 1
-
-        assert method.supports is not None
-        assert not method.supports(Diag())
-        Diag.n_states = 10
-        assert method.supports(Diag())
+    def test_auto_drops_gth_above_dense_limit(self):
+        # birth-death chain, rates 1 up and 2 down: π_k ∝ 2^-k
+        n = GTH_DENSE_LIMIT + 1
+        up = np.ones(n - 1)
+        q = sparse.diags([2.0 * up, -np.r_[1.0, 3.0 * up[1:], 2.0], up], [-1, 0, 1], format="csr")
+        exact = 0.5 ** np.arange(n)
+        report = solve_steady_state(q, stages={"direct": lambda g: exact / exact.sum()})
+        assert report.order == ("direct", "power")
+        assert report.method == "direct"
 
 
 class TestFrontDoorIntegration:
@@ -126,13 +80,10 @@ class TestFrontDoorIntegration:
             # residual guard verifies whatever a custom kernel returns
             return np.array([2.0 / 3.0, 1.0 / 3.0])
 
-        STEADY_STATE.register_method(name, kernel)
-        try:
-            report = solve_steady_state(q2(), method=name)
-            assert report.method == name
-            np.testing.assert_allclose(report.pi, [2.0 / 3.0, 1.0 / 3.0])
-        finally:
-            STEADY_STATE._methods.pop(name, None)
+        report = solve_steady_state(q2(), method=name, stages={name: kernel})
+        assert report.method == name
+        np.testing.assert_allclose(report.pi, [2.0 / 3.0, 1.0 / 3.0])
+        assert name not in STEADY_STATE
 
     def test_all_builtin_methods_agree(self):
         q = q2()

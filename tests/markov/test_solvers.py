@@ -69,6 +69,25 @@ class TestGTH:
         with pytest.raises(ModelDefinitionError):
             gth_solve(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [2, 5, 9, 40])
+    def test_bits_match_the_textbook_loop(self, n):
+        # Reference: outer-product elimination, every row sum recomputed
+        # in the back-substitution.  Same arithmetic, so same bits.
+        def reference(q):
+            a = np.array(q, dtype=float)
+            np.fill_diagonal(a, 0.0)
+            for k in range(n - 1, 0, -1):
+                a[:k, :k] += np.outer(a[:k, k], a[k, :k]) / a[k, :k].sum()
+            pi = np.zeros(n)
+            pi[0] = 1.0
+            for k in range(1, n):
+                pi[k] = float(pi[:k] @ a[:k, k]) / a[k, :k].sum()
+            return pi / pi.sum()
+
+        for seed in range(5):
+            q = random_generator(n, seed, stiff=True)
+            assert gth_solve(q).tobytes() == reference(q).tobytes()
+
 
 class TestDirectAndPower:
     @pytest.mark.parametrize("seed", range(3))

@@ -312,6 +312,73 @@ class TestR006StoreSqlite:
         assert findings == []
 
 
+class TestR009SteadyStateDispatch:
+    """R009 is path-sensitive: kernels are callable only behind the front door."""
+
+    def lint_at(self, tmp_path, relpath, source):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        return lint_repro.lint_file(path)
+
+    def test_flags_kernel_call_in_a_chain_module(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/markov/ctmc.py",
+            """
+            from .solvers import gth_solve
+            pi = gth_solve(q.toarray())
+            """,
+        )
+        assert codes(findings) == ["R009"]
+        assert "solve_steady_state" in findings[0][3]
+
+    def test_flags_attribute_and_aliased_calls(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/casestudies/model.py",
+            """
+            from repro.markov import solvers
+            from repro.sparse.krylov import steady_state_gmres as gmres
+            a = solvers.steady_state_power(q)
+            b = gmres(q)
+            """,
+        )
+        assert codes(findings) == ["R009", "R009"]
+        assert "steady_state_gmres()" in findings[1][3]
+
+    @pytest.mark.parametrize(
+        "relpath",
+        [
+            "src/repro/markov/fallback.py",
+            "src/repro/markov/registry.py",
+            "src/repro/markov/dtmc.py",
+            "src/repro/compile/ctmc.py",
+            "src/repro/sparse/krylov.py",
+        ],
+    )
+    def test_permitted_callers(self, tmp_path, relpath):
+        findings = self.lint_at(
+            tmp_path,
+            relpath,
+            """
+            pi = gth_solve(dense, validated=True)
+            rho = steady_state_iterative(q, method="gmres")
+            """,
+        )
+        assert findings == []
+
+    def test_outside_the_library_is_ignored(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "benchmarks/bench_kernels.py",
+            """
+            pi = steady_state_direct(q)
+            """,
+        )
+        assert findings == []
+
+
 class TestR007SparseDensification:
     """R007 is path-sensitive: it polices ``src/repro/sparse`` only."""
 

@@ -65,6 +65,18 @@ absent).  Rules:
     completes).  Waivable with ``# noqa: R008`` for state that is
     genuinely single-threaded.
 
+``R009 steady-state-dispatch``
+    Every steady-state solve in the library goes through the one front
+    door, :func:`repro.markov.fallback.solve_steady_state`.  The kernels
+    (``gth_solve``, ``steady_state_direct``, ``steady_state_power``,
+    ``steady_state_iterative`` / ``_gmres`` / ``_bicgstab``) may be
+    called only from ``markov/solvers.py``, ``markov/registry.py`` and
+    ``markov/fallback.py`` (the kernels, their table and the front
+    door), ``markov/dtmc.py`` (GTH on ``P - I``), ``compile/`` (the
+    compiled chains' frozen-structure paths) and ``sparse/krylov.py``
+    (the Krylov wrappers).  A call anywhere else under ``src/repro`` is
+    a second dispatch layer growing back.
+
 Usage::
 
     python tools/lint_repro.py [paths...]
@@ -312,6 +324,60 @@ def check_store_sqlite(tree: ast.AST, path: str) -> List[Finding]:
                     "R006",
                     "importing sqlite3.connect outside repro/store/db.py; all "
                     "store database access goes through the StoreDB serializer",
+                )
+            )
+    return findings
+
+
+#: steady-state kernels callable only behind the front door (R009)
+_STEADY_STATE_KERNELS = {
+    "gth_solve",
+    "steady_state_direct",
+    "steady_state_power",
+    "steady_state_iterative",
+    "steady_state_gmres",
+    "steady_state_bicgstab",
+}
+
+#: the files and packages R009 lets call them
+_KERNEL_CALLERS = (
+    "repro/markov/solvers.py",
+    "repro/markov/registry.py",
+    "repro/markov/fallback.py",
+    "repro/markov/dtmc.py",
+    "repro/compile/",
+    "repro/sparse/krylov.py",
+)
+
+
+def check_steady_state_dispatch(tree: ast.AST, path: str) -> List[Finding]:
+    """R009: steady-state kernels are called only behind the front door.
+
+    Checks files under ``src/repro``; calls by name or attribute
+    (``gth_solve(...)``, ``solvers.gth_solve(...)``) and through an
+    ``import ... as`` alias are all caught.
+    """
+    normalized = path.replace("\\", "/")
+    if "src/repro/" not in normalized or any(home in normalized for home in _KERNEL_CALLERS):
+        return []
+    kernels = {name: name for name in _STEADY_STATE_KERNELS}  # called as -> kernel
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _STEADY_STATE_KERNELS and alias.asname:
+                    kernels[alias.asname] = alias.name
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee_name(node.func) in kernels:
+            name = _callee_name(node.func)
+            findings.append(
+                (
+                    path,
+                    node.lineno,
+                    "R009",
+                    f"steady-state kernel {kernels[name]}() called outside "
+                    f"the front door; solve through solve_steady_state "
+                    f"(or CTMC.steady_state)",
                 )
             )
     return findings
@@ -677,6 +743,7 @@ def lint_file(py_path: Path) -> List[Finding]:
     findings += check_store_sqlite(tree, path)
     findings += check_sparse_densification(tree, path)
     findings += check_lock_discipline(tree, path)
+    findings += check_steady_state_dispatch(tree, path)
     lines = source.splitlines()
     return [
         f
